@@ -8,9 +8,11 @@ with diagnostics carrying captured warnings, censoring fractions, and the
 seed-to-stream derivation used for sampling.  CSV mode prints the tabular
 core of the payload with a header row; warnings then go to standard error.
 
-Probabilities whose natural log is below -700 would underflow a float, so
-they are emitted structurally: {"log_value": L} objects in JSON and
-`log:L` cells in CSV.
+Each subcommand computes its values once, in no particular format, and only
+the format asked for is rendered.  Values held as natural logs that a float
+cannot represent (log below -700 or above 709) are emitted structurally:
+{"log_value": L} objects in JSON and `log:L` cells in CSV.  JSON output is
+strict: a NaN or infinity exits 1 instead of printing an invalid token.
 
 Exit codes: 0 success, 2 usage error (bad flags), 1 domain or validation
 error (out-of-range parameters, malformed input files).
@@ -29,41 +31,130 @@ from . import author_model, hirsch, scientometrics, streams, trial_chain
 
 __all__ = ["main", "run"]
 
+# exp underflows below the floor and overflows above the ceiling
 _LOG_FLOOR = -700.0
+_LOG_CEIL = 709.0
 
 
-def _prob_json(log_value: float):
+class _Log(float):
+    """A value held as its natural log."""
+
+
+class _LogColumn(list):
+    """A column of values held as their natural logs."""
+
+
+class _Rounded(float):
+    """A float that CSV prints to two decimals, as in the source listings,
+    and JSON prints in full."""
+
+
+class _Missing:
+    """A draw without a value, and what each format prints in its place."""
+
+    def __init__(self, json_value, csv_text: str):
+        self.json_value = json_value
+        self.csv_text = csv_text
+
+
+class _Result:
+    """One subcommand's values, computed once and rendered in one format.
+
+    CSV prints `header`, one row per `index` label with the `columns` beside
+    it, then a (name, value) row per `trailing` entry.  JSON prints the
+    columns, the trailing values and the JSON-only `extra` values as payload
+    keys.
+    """
+
+    def __init__(self, command, params, header, index=(), columns=None,
+                 trailing=None, extra=None, diagnostics=None):
+        self.command = command
+        self.params = params
+        self.header = header
+        self.index = index
+        self.columns = columns or {}
+        self.trailing = trailing or {}
+        self.extra = extra or {}
+        self.diagnostics = diagnostics or {"warnings": []}
+
+
+def _table(command, params, index, start, log_values,
+           key="probabilities", header="probability", **trailing) -> _Result:
+    """A table subcommand: one column of logs numbered from `start`, then
+    the `trailing` rows."""
+    return _Result(
+        command, params, (index, header), range(start, start + len(log_values)),
+        {key: _LogColumn(log_values)}, trailing, {"start": start},
+    )
+
+
+def _json_log(log_value: float):
     log_value = float(log_value)  # numpy scalars render as np.float64(...) in repr
     if log_value == -math.inf:
         return 0.0
-    if log_value < _LOG_FLOOR:
+    if log_value < _LOG_FLOOR or log_value > _LOG_CEIL:
         return {"log_value": log_value}
     return math.exp(log_value)
 
 
-def _prob_csv(log_value: float) -> str:
+def _json_value(value):
+    if isinstance(value, _Log):
+        return _json_log(value)
+    if isinstance(value, _Missing):
+        return value.json_value
+    return value
+
+
+def _render_json(result: _Result) -> str:
+    payload = dict(result.extra)
+    for key, column in result.columns.items():
+        cell = _json_log if isinstance(column, _LogColumn) else _json_value
+        payload[key] = [cell(v) for v in column]
+    for key, value in result.trailing.items():
+        payload[key] = _json_value(value)
+    envelope = {
+        "command": result.command,
+        "params": result.params,
+        "payload": payload,
+        "diagnostics": result.diagnostics,
+    }
+    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _csv_log(log_value: float) -> str:
     log_value = float(log_value)
     if log_value == -math.inf:
         return "0.0"
-    if log_value < _LOG_FLOOR:
+    if log_value < _LOG_FLOOR or log_value > _LOG_CEIL:
         return f"log:{log_value!r}"
     return repr(math.exp(log_value))
 
 
+def _csv_value(value):
+    if isinstance(value, _Log):
+        return _csv_log(value)
+    if isinstance(value, _Missing):
+        return value.csv_text
+    if isinstance(value, _Rounded):
+        return f"{value:.2f}"
+    return value
+
+
+def _render_csv(result: _Result) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(result.header)
+    columns = [
+        map(_csv_log if isinstance(column, _LogColumn) else _csv_value, column)
+        for column in result.columns.values()
+    ]
+    writer.writerows(zip(result.index, *columns))
+    writer.writerows((key, _csv_value(value)) for key, value in result.trailing.items())
+    for message in result.diagnostics["warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def _log_or_neg_inf(value: float) -> float:
     return math.log(value) if value > 0.0 else -math.inf
-
-
-class _Result:
-    """One subcommand's output in both renderings."""
-
-    def __init__(self, command, params, payload, csv_header, csv_rows, diagnostics):
-        self.command = command
-        self.params = params
-        self.payload = payload
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
-        self.diagnostics = diagnostics
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -85,49 +176,29 @@ def _cmd_pmf(a) -> _Result:
         if a.gamma <= 1.0:
             raise ValueError("--conditional requires gamma > 1 (improper regime)")
         mass = trial_chain.improper_mass(params)
-        shift = math.log1p(-mass)
-        log_probs = log_probs - shift
+        log_probs = log_probs - math.log1p(-mass)
         log_tail = _log_or_neg_inf(max(0.0, (table.tail - mass) / (1.0 - mass)))
-    rows = [(str(n), _prob_csv(lp)) for n, lp in zip(table.indices, log_probs)]
-    rows.append(("tail", _prob_csv(log_tail)))
-    return _Result(
+    return _table(
         "pmf",
         {"p": a.p, "gamma": a.gamma, "n_max": a.n_max, "conditional": bool(a.conditional)},
-        {
-            "start": 1,
-            "probabilities": [_prob_json(lp) for lp in log_probs],
-            "tail": _prob_json(log_tail),
-        },
-        ("n", "probability"),
-        rows,
-        {"warnings": []},
+        "n", 1, log_probs.tolist(), tail=_Log(log_tail),
     )
 
 
 def _cmd_tail(a) -> _Result:
     params = trial_chain.TrialChainParams(a.p, a.gamma)
     log_tails = trial_chain.tail_table(params, a.m_max)
-    rows = [(str(m), _prob_csv(lt)) for m, lt in enumerate(log_tails, start=1)]
-    return _Result(
-        "tail",
-        {"p": a.p, "gamma": a.gamma, "m_max": a.m_max},
-        {"start": 1, "tails": [_prob_json(lt) for lt in log_tails]},
-        ("m", "tail"),
-        rows,
-        {"warnings": []},
+    return _table(
+        "tail", {"p": a.p, "gamma": a.gamma, "m_max": a.m_max},
+        "m", 1, log_tails.tolist(), key="tails", header="tail",
     )
 
 
 def _cmd_improper_mass(a) -> _Result:
     params = trial_chain.TrialChainParams(a.p, a.gamma)
-    mass = trial_chain.improper_mass(params)
     return _Result(
-        "improper-mass",
-        {"p": a.p, "gamma": a.gamma},
-        {"improper_mass": mass},
-        ("quantity", "value"),
-        [("improper_mass", repr(mass))],
-        {"warnings": []},
+        "improper-mass", {"p": a.p, "gamma": a.gamma}, ("quantity", "value"),
+        trailing={"improper_mass": trial_chain.improper_mass(params)},
     )
 
 
@@ -135,46 +206,26 @@ def _cmd_asym(a) -> _Result:
     params = trial_chain.TrialChainParams(a.p, a.gamma)
     grid = _parse_grid(a.grid)
     estimate = trial_chain.estimate_constant(params, grid)
-    ratios = [math.exp(r) for r in estimate.log_ratios]
-    rows = [(str(n), repr(r)) for n, r in zip(grid, ratios)]
-    rows += [
-        ("constant", repr(estimate.constant)),
-        ("spread", repr(estimate.spread)),
-        ("regime", estimate.regime.value),
-    ]
+    log_ratios = estimate.log_ratios
+    # ratio and constant come from the logs: near 1/gamma = 3 they overflow
     return _Result(
-        "asym",
-        {"p": a.p, "gamma": a.gamma, "grid": list(grid)},
-        {
-            "grid": list(grid),
-            "ratios": ratios,
-            "log_ratios": list(estimate.log_ratios),
-            "constant": estimate.constant,
+        "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"), grid,
+        {"ratios": _LogColumn(log_ratios)},
+        trailing={
+            "constant": _Log(log_ratios[-1]),
             "spread": estimate.spread,
             "regime": estimate.regime.value,
         },
-        ("n", "ratio"),
-        rows,
-        {"warnings": []},
+        extra={"grid": list(grid), "log_ratios": list(log_ratios)},
     )
 
 
 def _cmd_growing_pmf(a) -> _Result:
     params = trial_chain.GrowingChainParams(a.q, a.gamma)
     table = trial_chain.growing_pmf_table(params, a.n_max)
-    rows = [(str(n), _prob_csv(lp)) for n, lp in zip(table.indices, table.log_probs)]
-    rows.append(("tail", _prob_csv(table.log_tail)))
-    return _Result(
-        "growing-pmf",
-        {"q": a.q, "gamma": a.gamma, "n_max": a.n_max},
-        {
-            "start": 1,
-            "probabilities": [_prob_json(lp) for lp in table.log_probs],
-            "tail": _prob_json(table.log_tail),
-        },
-        ("n", "probability"),
-        rows,
-        {"warnings": []},
+    return _table(
+        "growing-pmf", {"q": a.q, "gamma": a.gamma, "n_max": a.n_max},
+        "n", 1, table.log_probs.tolist(), tail=_Log(table.log_tail),
     )
 
 
@@ -184,41 +235,19 @@ def _cmd_author_pmf(a) -> _Result:
         probs = [author_model.author_pmf(params, s, strategy="hyp") for s in range(a.s_max + 1)]
     else:
         probs = [float(v) for v in author_model.author_pmf_series(params, a.s_max)]
-    log_probs = [_log_or_neg_inf(v) for v in probs]
     log_tail = _log_or_neg_inf(max(0.0, 1.0 - math.fsum(probs)))
-    rows = [(str(s), _prob_csv(lp)) for s, lp in enumerate(log_probs)]
-    rows.append(("tail", _prob_csv(log_tail)))
-    return _Result(
-        "author-pmf",
-        {"p": a.p, "q": a.q, "s_max": a.s_max, "method": a.method},
-        {
-            "start": 0,
-            "probabilities": [_prob_json(lp) for lp in log_probs],
-            "tail": _prob_json(log_tail),
-        },
-        ("s", "probability"),
-        rows,
-        {"warnings": []},
+    return _table(
+        "author-pmf", {"p": a.p, "q": a.q, "s_max": a.s_max, "method": a.method},
+        "s", 0, [_log_or_neg_inf(v) for v in probs], tail=_Log(log_tail),
     )
 
 
 def _cmd_hirsch_pmf(a) -> _Result:
     params = hirsch.HirschParams(a.p, a.q)
     log_probs = [hirsch.log_hirsch_pmf(params, h) for h in range(a.h_max + 1)]
-    deficit = hirsch.normalization_deficit(params, a.h_max)
-    rows = [(str(h), _prob_csv(lp)) for h, lp in enumerate(log_probs)]
-    rows.append(("normalization_deficit", repr(deficit)))
-    return _Result(
-        "hirsch-pmf",
-        {"p": a.p, "q": a.q, "h_max": a.h_max},
-        {
-            "start": 0,
-            "probabilities": [_prob_json(lp) for lp in log_probs],
-            "normalization_deficit": deficit,
-        },
-        ("h", "probability"),
-        rows,
-        {"warnings": []},
+    return _table(
+        "hirsch-pmf", {"p": a.p, "q": a.q, "h_max": a.h_max}, "h", 0, log_probs,
+        normalization_deficit=hirsch.normalization_deficit(params, a.h_max),
     )
 
 
@@ -251,21 +280,13 @@ def _cmd_sample(a) -> _Result:
     if a.model == "trial":
         params = trial_chain.TrialChainParams(a.p, a.gamma)
         values, censored = trial_chain.sample_many(params, rng, a.count, cap=a.cap)
-        payload_values = [
-            {"censored_at": a.cap} if c else int(v) for v, c in zip(values, censored)
-        ]
-        rows = [
-            (str(i), "censored" if c else str(int(v)))
-            for i, (v, c) in enumerate(zip(values, censored))
-        ]
-        frac = float(censored.mean())
+        stand_in = _Missing({"censored_at": a.cap}, "censored")
         return _Result(
-            "sample",
-            base_params,
-            {"values": payload_values, "censored_count": int(censored.sum())},
-            ("index", "value"),
-            rows,
-            _sample_diagnostics(a, {"censoring_fraction": frac}),
+            "sample", base_params, ("index", "value"), range(a.count),
+            {"values": [stand_in if c else v
+                        for v, c in zip(values.tolist(), censored.tolist())]},
+            extra={"censored_count": int(censored.sum())},
+            diagnostics=_sample_diagnostics(a, {"censoring_fraction": float(censored.mean())}),
         )
     if a.gamma != 1.0:
         raise ValueError(f"--model {a.model} fixes gamma = 1; got --gamma {a.gamma}")
@@ -274,17 +295,10 @@ def _cmd_sample(a) -> _Result:
     if a.model == "author":
         params = author_model.AuthorParams(a.p, a.q)
         papers, citations = author_model.sample_citations(params, rng, a.count, cap=a.cap)
-        rows = [
-            (str(i), str(int(x)), str(int(s)))
-            for i, (x, s) in enumerate(zip(papers, citations))
-        ]
         return _Result(
-            "sample",
-            base_params,
-            {"papers": [int(x) for x in papers], "citations": [int(s) for s in citations]},
-            ("index", "papers", "citations"),
-            rows,
-            _sample_diagnostics(a),
+            "sample", base_params, ("index", "papers", "citations"), range(a.count),
+            {"papers": papers.tolist(), "citations": citations.tolist()},
+            diagnostics=_sample_diagnostics(a),
         )
     # hirsch
     mode = hirsch.HirschMode.PAPER_EVENT if a.hirsch_mode == "paper" else hirsch.HirschMode.TRUE_H
@@ -293,54 +307,30 @@ def _cmd_sample(a) -> _Result:
         hirsch.HirschParams(a.p, a.q), rng, a.count, mode=mode, caps=caps
     )
     base_params["hirsch_mode"] = a.hirsch_mode
-    rows = [
-        (str(i), str(int(v)) if ok else "no_match")
-        for i, (v, ok) in enumerate(zip(h, valid))
-    ]
+    no_match = _Missing(None, "no_match")
     return _Result(
-        "sample",
-        base_params,
-        {
-            "h": [int(v) if ok else None for v, ok in zip(h, valid)],
-            "no_match_count": int((~valid).sum()),
-        },
-        ("index", "h"),
-        rows,
-        _sample_diagnostics(a),
+        "sample", base_params, ("index", "h"), range(a.count),
+        {"h": [v if ok else no_match for v, ok in zip(h.tolist(), valid.tolist())]},
+        extra={"no_match_count": int((~valid).sum())},
+        diagnostics=_sample_diagnostics(a),
     )
 
 
 def _cmd_analyze(a) -> _Result:
     source = a.fixture if a.fixture else a.input
-    records = scientometrics.load_dataset(source)
-    rep = scientometrics.report(records)
-    payload = {
-        "kappa": list(rep.kappa),
-        "h_mean": rep.h_mean,
-        "h_sample_sd": rep.h_sample_sd,
-        "rho1": rep.rho1,
-        "rho2": rep.rho2,
-        "kappa_le_5_count": rep.kappa_le_5_count,
-        "kappa_5_6_count": rep.kappa_5_6_count,
-    }
-    # CSV is the table-style rendering: kappa and sd to 2 decimals, as in
-    # the source listings; JSON keeps full precision
-    rows = [(f"kappa_{i}", f"{k:.2f}") for i, k in enumerate(rep.kappa, start=1)]
-    rows += [
-        ("h_mean", repr(rep.h_mean)),
-        ("h_sample_sd", f"{rep.h_sample_sd:.2f}"),
-        ("rho1", repr(rep.rho1)),
-        ("rho2", repr(rep.rho2)),
-        ("kappa_le_5_count", str(rep.kappa_le_5_count)),
-        ("kappa_5_6_count", str(rep.kappa_5_6_count)),
-    ]
+    rep = scientometrics.report(scientometrics.load_dataset(source))
     return _Result(
-        "analyze",
-        {"source": str(source)},
-        payload,
-        ("field", "value"),
-        rows,
-        {"warnings": []},
+        "analyze", {"source": str(source)}, ("field", "value"),
+        (f"kappa_{i}" for i in range(1, len(rep.kappa) + 1)),
+        {"kappa": [_Rounded(k) for k in rep.kappa]},
+        trailing={
+            "h_mean": rep.h_mean,
+            "h_sample_sd": _Rounded(rep.h_sample_sd),
+            "rho1": rep.rho1,
+            "rho2": rep.rho2,
+            "kappa_le_5_count": rep.kappa_le_5_count,
+            "kappa_5_6_count": rep.kappa_5_6_count,
+        },
     )
 
 
@@ -445,26 +435,15 @@ def run(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = args.func(args)
-        result.diagnostics["warnings"] = list(result.diagnostics.get("warnings", [])) + [
-            str(w.message) for w in caught
-        ]
+        result.diagnostics["warnings"] += [str(w.message) for w in caught]
+        text = _render_json(result) if args.format == "json" else None
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        envelope = {
-            "command": result.command,
-            "params": result.params,
-            "payload": result.payload,
-            "diagnostics": result.diagnostics,
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+    if text is None:
+        _render_csv(result)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(result.csv_header)
-        writer.writerows(result.csv_rows)
-        for message in result.diagnostics["warnings"]:
-            print(f"warning: {message}", file=sys.stderr)
+        print(text)
     return 0
 
 

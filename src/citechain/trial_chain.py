@@ -57,6 +57,13 @@ _BOUNDARY_WARN_TOL = 1e-6
 DEFAULT_CAP = 10**6
 
 
+def _check_gamma(gamma: float) -> None:
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+    if gamma == math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class TrialChainParams:
     """Chain with success probability p / k^gamma at trial k."""
@@ -67,8 +74,7 @@ class TrialChainParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p!r}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,7 @@ class GrowingChainParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q!r}")
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,10 @@ def _fractional_exponent_sum(p: float, gamma: float, n: float, j_max: int) -> fl
 
 
 def log_asym_pmf_shape(
-    params: TrialChainParams, n: int, corrected: bool = True
+    params: TrialChainParams,
+    n: int,
+    corrected: bool = True,
+    branch: Regime | None = None,
 ) -> float:
     """Log of the large-n shape of the pmf (constant left out), by regime.
 
@@ -281,12 +289,14 @@ def log_asym_pmf_shape(
     gamma = 0 is rejected: that chain is exactly geometric and needs no
     asymptote.  The exponent sign is the convergent one; `corrected=False`
     flips it to the divergent variant, kept only so diagnostics can
-    demonstrate that the flipped sign fails to stabilize.
+    demonstrate that the flipped sign fails to stabilize.  `branch` picks
+    a fractional branch in place of the one `classify_regime` gives; near
+    the integer boundary of 1/gamma, `estimate_constant` evaluates both.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
     p, gamma = params.p, params.gamma
-    regime = classify_regime(gamma)
+    regime = classify_regime(gamma) if branch is None else branch
     nf = float(n)
     if regime is Regime.GEOMETRIC:
         raise ValueError("gamma = 0 is exactly geometric; no asymptotic shape")
@@ -321,30 +331,15 @@ class ConstantEstimate:
     regime: Regime
 
 
-def _log_ratios_for_branch(
-    params: TrialChainParams, grid: tuple[int, ...], integer_branch: bool | None
+def _log_ratios(
+    params: TrialChainParams, grid: tuple[int, ...], branch: Regime | None = None
 ) -> tuple[float, ...]:
-    p, gamma = params.p, params.gamma
-    improper = gamma > 1.0 + _INTEGER_TOL
+    improper = params.gamma > 1.0 + _INTEGER_TOL
     shift = math.log1p(-improper_mass(params)) if improper else 0.0
-    out = []
-    for n in grid:
-        lp = log_pmf(params, n) - shift
-        if integer_branch is None:
-            ls = log_asym_pmf_shape(params, n)
-        else:
-            # explicit branch override, used near the 1/gamma integer boundary
-            inv = 1.0 / gamma
-            if integer_branch:
-                j_int = round(inv)
-                power = gamma + p**j_int / j_int
-                ex = _fractional_exponent_sum(p, gamma, float(n), j_int - 1)
-            else:
-                power = gamma
-                ex = _fractional_exponent_sum(p, gamma, float(n), math.floor(inv))
-            ls = math.log(p) - power * math.log(n) - ex
-        out.append(lp - ls)
-    return tuple(out)
+    return tuple(
+        log_pmf(params, n) - shift - log_asym_pmf_shape(params, n, branch=branch)
+        for n in grid
+    )
 
 
 def _spread(log_ratios: tuple[float, ...]) -> float:
@@ -369,14 +364,13 @@ def estimate_constant(
     if grid[-1] < 1000:
         raise ValueError("largest grid point must be >= 1000 to certify a limit")
     regime = classify_regime(params.gamma)
-    log_ratios = _log_ratios_for_branch(params, tuple(grid), None)
+    log_ratios = _log_ratios(params, tuple(grid))
     if regime in (Regime.FRACTIONAL_INTEGER, Regime.FRACTIONAL_NON_INTEGER):
         inv = 1.0 / params.gamma
         dist = abs(inv - round(inv))
         if _INTEGER_TOL < dist <= _BOUNDARY_WARN_TOL:
-            alt = _log_ratios_for_branch(
-                params, tuple(grid), regime is Regime.FRACTIONAL_NON_INTEGER
-            )
+            # dist > _INTEGER_TOL, so the regime above is the non-integer one
+            alt = _log_ratios(params, tuple(grid), Regime.FRACTIONAL_INTEGER)
             # the non-integer expansion carries a term ~ n^(1 - gamma J) / (1
             # - gamma J) that is nearly flat over any finite grid, so spreads
             # alone cannot separate the branches this close to the boundary;

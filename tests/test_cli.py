@@ -115,6 +115,20 @@ class TestAsymCommand:
         assert p["regime"] == "fractional_non_integer"
         assert len(p["ratios"]) == 3
 
+    def test_overflowing_ratios_print_in_log_form(self, capsys):
+        # near 1/gamma = 3 the non-integer branch's 1/(1 - 3 gamma) term puts
+        # the log ratios far above the float range
+        argv = ("asym", "--p", "0.5", "--gamma", "0.333333", "--grid", "1000,3000,10000")
+        p = run_json(capsys, *argv)["payload"]
+        assert min(p["log_ratios"]) > 709.0
+        assert p["ratios"] == [{"log_value": lr} for lr in p["log_ratios"]]
+        assert p["constant"] == {"log_value": p["log_ratios"][-1]}
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert rows["constant"] == f"log:{p['log_ratios'][-1]!r}"
+        assert rows["10000"] == rows["constant"]
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(
             capsys, "asym", "--p", "0.5", "--gamma", "0.7", "--grid", "10000,10"
@@ -319,6 +333,26 @@ class TestExitCodes:
             capsys, "pmf", "--p", "0.5", "--gamma", "1", "--n-max", "3",
             "--format", "xml",
         )[0] == 2
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command,param", [("pmf", "--p"), ("growing-pmf", "--q")])
+    def test_infinite_gamma_rejected(self, capsys, command, param, fmt):
+        code, out, err = run_cli(
+            capsys, command, param, "0.5", "--gamma", "inf", "--n-max", "3", "--format", fmt
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: gamma must be finite, got inf\n"
+
+    def test_non_finite_value_exits_1(self, capsys):
+        # the trial model ignores --q, but the JSON envelope echoes it
+        code, out, err = run_cli(
+            capsys, "sample", "--model", "trial", "--p", "0.5", "--q", "nan",
+            "--count", "3", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
 
 
 class TestSubprocess:

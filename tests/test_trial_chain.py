@@ -46,7 +46,7 @@ class TestParams:
         with pytest.raises(ValueError):
             TrialChainParams(p, 1.0)
 
-    @pytest.mark.parametrize("gamma", [-0.1, -5.0, math.nan])
+    @pytest.mark.parametrize("gamma", [-0.1, -5.0, math.nan, math.inf])
     def test_gamma_domain(self, gamma):
         with pytest.raises(ValueError):
             TrialChainParams(0.5, gamma)
@@ -56,6 +56,8 @@ class TestParams:
             GrowingChainParams(1.0, 1.0)
         with pytest.raises(ValueError):
             GrowingChainParams(0.5, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            GrowingChainParams(0.5, math.inf)
         GrowingChainParams(0.5, 0.0)  # flat growing chain is legal
 
     def test_outcome_value_semantics(self):
@@ -293,6 +295,18 @@ class TestAsymptoticShape:
         bad_range = max(bad) - min(bad)
         assert math.expm1(good_range) < 0.02
         assert bad_range > 10.0 * good_range
+
+
+    def test_branch_override_near_boundary(self):
+        # 1/gamma sits 5e-7 above 3: classify_regime picks the non-integer
+        # branch, and `branch` asks for the integer one, J = 3
+        p, gamma, n = 0.5, 1.0 / (3.0 + 5e-7), 5000
+        params = TrialChainParams(p, gamma)
+        ex = sum(p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j) for j in (1, 2))
+        expected = math.log(p) - (gamma + p**3 / 3) * math.log(n) - ex
+        got = tc.log_asym_pmf_shape(params, n, branch=Regime.FRACTIONAL_INTEGER)
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert tc.log_asym_pmf_shape(params, n) != pytest.approx(expected, rel=1e-6)
 
 
 class TestEstimateConstant:
