@@ -278,6 +278,8 @@ def _cmd_sample(a) -> _Result:
         "cap": a.cap,
     }
     if a.model == "trial":
+        if a.q is not None:
+            raise ValueError("--model trial takes no --q")
         params = trial_chain.TrialChainParams(a.p, a.gamma)
         values, censored = trial_chain.sample_many(params, rng, a.count, cap=a.cap)
         stand_in = _Missing({"censored_at": a.cap}, "censored")

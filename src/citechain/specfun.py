@@ -120,29 +120,37 @@ def gamma_ratio(m: float, p: float) -> float:
     return math.exp(log_gamma_ratio(m, p))
 
 
-def riemann_zeta(s: float) -> float:
+def riemann_zeta(s: float, start: int = 1) -> float:
     """Riemann zeta on (0, 1) and (1, inf) by Euler-Maclaurin summation.
 
-    Splits the Dirichlet series at N = 24 and corrects with eight Bernoulli
-    terms; the standard remainder bound |R| <= |next term| (s+2M+1)/(s+1) is
-    evaluated explicitly and must come in below 1e-13, otherwise a ValueError
-    flags the argument as outside the certified region (does not happen for
-    s in the stated domain).
+    Returns sum_{k>=start} k^-s (analytically continued below s = 1), so
+    start = 2 gives zeta(s) - 1 without cancelling the leading 1; start must
+    lie in 1..23.  Splits the Dirichlet series at N = 24 and corrects with
+    eight Bernoulli terms; the standard remainder bound
+    |R| <= |next term| (s+2M+1)/(s+1) is evaluated explicitly and must come
+    in below 1e-13, otherwise a ValueError flags the argument as outside the
+    certified region (does not happen for s in the stated domain).
     """
     if not s > 0.0:
         raise ValueError(f"riemann_zeta requires s > 0, got {s!r}")
     if s == 1.0:
         raise ValueError("riemann_zeta has a pole at s = 1")
     n_split = 24
+    if not 1 <= start < n_split:
+        raise ValueError(f"riemann_zeta requires start in 1..{n_split - 1}, got {start!r}")
     total = 0.0
     comp = 0.0
-    for k in range(1, n_split):
+    for k in range(start, n_split):
         term = float(k) ** (-s)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
     total += n_split ** (1.0 - s) / (s - 1.0) + 0.5 * n_split ** (-s)
+    if n_split ** (-s) == 0.0:
+        # every correction below is then exactly zero; stopping here also
+        # keeps an overflowing Pochhammer product from turning it into NaN
+        return total
     poch = s  # (s)_{2i-1} running product, starts at (s)_1
     fact = 2.0  # (2i)! running product
     for i, b2i in enumerate(_BERNOULLI, start=1):

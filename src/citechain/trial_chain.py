@@ -14,10 +14,12 @@ underflow; see `PmfTable` for the exchange format.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import threading
 import warnings
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,39 +137,90 @@ def _log_one_minus_pk(params: TrialChainParams, k: np.ndarray) -> np.ndarray:
     return np.log1p(-params.p * k**-params.gamma)
 
 
-@lru_cache(maxsize=32)
-def _log_survival_prefix(p: float, gamma: float, n_max: int) -> np.ndarray:
-    """S[j] = sum_{k<=j} ln(1 - p/k^gamma), j = 0..n_max, compensated.
+_PREFIX_CHAINS = 32
+# (p, gamma) -> (S[0..n], Neumaier sum, Neumaier compensation), least
+# recently used first
+_prefix_chains: OrderedDict = OrderedDict()
+_prefix_counts = [0, 0]  # hits, misses
+_prefix_lock = threading.Lock()
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-    Neumaier running compensation keeps each prefix accurate to one ulp of
-    its own magnitude independent of length, which is what makes the
-    telescoping identities below hold at the 1e-12 level for long tables.
-    Cached per parameter triple; callers must not mutate the result.
-    """
-    params = TrialChainParams(p, gamma)
-    terms = _log_one_minus_pk(params, np.arange(1, n_max + 1, dtype=np.float64))
-    out = np.empty(n_max + 1)
-    out[0] = 0.0
-    s = 0.0
-    c = 0.0
-    for i in range(n_max):
-        x = float(terms[i])
+
+def _extend_prefix(
+    params: TrialChainParams, prefix: np.ndarray, s: float, c: float, n_max: int
+) -> tuple[np.ndarray, float, float]:
+    """Continue the compensated scan that produced `prefix` (ending in the
+    state s, c) up to S[n_max]; the result is read-only."""
+    start = prefix.size
+    k = np.arange(start, n_max + 1, dtype=np.float64)
+    tail = []
+    for x in _log_one_minus_pk(params, k).tolist():
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x
         else:
             c += (x - t) + s
         s = t
-        out[i + 1] = s + c
-    return out
+        tail.append(s + c)
+    out = np.empty(n_max + 1)
+    out[:start] = prefix
+    out[start:] = tail
+    out.flags.writeable = False
+    return out, s, c
+
+
+def _log_survival_prefix(p: float, gamma: float, n_max: int) -> np.ndarray:
+    """S[j] = sum_{k<=j} ln(1 - p/k^gamma), j = 0..n_max, compensated.
+
+    Neumaier running compensation keeps each prefix accurate to one ulp of
+    its own magnitude independent of length, which is what makes the
+    telescoping identities below hold at the 1e-12 level for long tables.
+
+    One grow-only scan is kept per (p, gamma), for the 32 most recently used
+    pairs.  A request past its end resumes the scan from the stored Neumaier
+    state, so every S[j] is bit-identical to one long scan whatever the order
+    of requests.  A first request computes exactly n_max terms; a longer one
+    grows the scan to max(n_max, twice its length), so a loop over n costs
+    O(n) in all.  Returns a read-only view of length n_max + 1.
+    `cache_info()` and `cache_clear()` work as for `functools.lru_cache`.
+    """
+    key = (p, gamma)
+    with _prefix_lock:
+        chain = _prefix_chains.pop(key, None)
+        if chain is not None and chain[0].size > n_max:
+            _prefix_counts[0] += 1
+        else:
+            _prefix_counts[1] += 1
+            params = TrialChainParams(p, gamma)
+            if chain is None:
+                chain = _extend_prefix(params, np.zeros(1), 0.0, 0.0, n_max)
+            else:
+                chain = _extend_prefix(params, *chain, max(n_max, 2 * (chain[0].size - 1)))
+        _prefix_chains[key] = chain
+        if len(_prefix_chains) > _PREFIX_CHAINS:
+            _prefix_chains.popitem(last=False)
+    return chain[0][: n_max + 1]
+
+
+def _prefix_cache_info() -> _CacheInfo:
+    return _CacheInfo(*_prefix_counts, _PREFIX_CHAINS, len(_prefix_chains))
+
+
+def _prefix_cache_clear() -> None:
+    with _prefix_lock:
+        _prefix_chains.clear()
+        _prefix_counts[:] = [0, 0]
+
+
+_log_survival_prefix.cache_info = _prefix_cache_info
+_log_survival_prefix.cache_clear = _prefix_cache_clear
 
 
 def log_pmf(params: TrialChainParams, n: int) -> float:
     """ln P{X = n} = ln p_n + sum_{k<n} ln(1 - p_k)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    prefix = _log_survival_prefix(params.p, params.gamma, n - 1) if n > 1 else None
-    s = float(prefix[n - 1]) if n > 1 else 0.0
+    s = float(_log_survival_prefix(params.p, params.gamma, n - 1)[n - 1]) if n > 1 else 0.0
     return math.log(params.p) - params.gamma * math.log(n) + s
 
 
@@ -231,28 +284,28 @@ def sibuya_tail_closed(p: float, m: int) -> float:
 def improper_mass(params: TrialChainParams) -> float:
     """P{X = infinity} = prod_k (1 - p/k^gamma); zero in proper regimes.
 
-    Expanding the log of the product termwise gives
-    -ln prod = sum_{j>=1} (p^j / j) zeta(gamma j), a fast-converging series
-    since every zeta argument exceeds 1 when gamma > 1.  Terms are added
-    until the geometric remainder bound drops below 1e-15.
+    The k = 1 factor is taken exactly and the rest expanded termwise:
+
+        -ln prod = -ln(1 - p) + sum_{j>=1} (p^j / j) (zeta(gamma j) - 1),
+
+    with zeta(s) - 1 summed from k = 2, so it never comes from cancelling
+    the leading 1.  Each term is at most r = p 2^-gamma < 1/2 times the one
+    before, so the series converges geometrically for every p < 1; terms are
+    added until the remainder bound term r/(1-r) is at most 1e-17 of the
+    total (fewer than 60 terms), and the parts are summed with math.fsum.
     """
     if params.gamma <= 1.0:
         return 0.0
-    total = 0.0
-    j = 1
-    while True:
-        term = params.p**j / j * specfun.riemann_zeta(params.gamma * j)
+    p, gamma = params.p, params.gamma
+    r = p * 2.0**-gamma
+    parts = [-math.log1p(-p)]
+    total = parts[0]
+    for j in itertools.count(1):
+        term = p**j / j * specfun.riemann_zeta(gamma * j, start=2)
+        parts.append(term)
         total += term
-        # remaining terms are below sum_{i>j} p^i zeta(gamma(j+1)) geometrically
-        bound = params.p ** (j + 1) / (1.0 - params.p) * specfun.riemann_zeta(
-            params.gamma * (j + 1)
-        )
-        if bound < 1e-15:
-            break
-        j += 1
-        if j > 10_000:  # pragma: no cover - p < 1 always terminates long before
-            raise RuntimeError("improper_mass series failed to converge")
-    return math.exp(-total)
+        if term * r / (1.0 - r) <= 1e-17 * total:
+            return math.exp(-math.fsum(parts))
 
 
 def conditional_pmf(params: TrialChainParams, n: int) -> float:

@@ -103,6 +103,20 @@ class TestImproperMass:
         env = run_json(capsys, "improper-mass", "--p", "0.5", "--gamma", "1")
         assert env["payload"]["improper_mass"] == 0.0
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("improper-mass", "--p", "0.999", "--gamma", "1.5"),
+            ("pmf", "--p", "0.997", "--gamma", "3", "--n-max", "5", "--conditional"),
+        ],
+    )
+    def test_p_near_one(self, capsys, argv, fmt):
+        # the series once gave up after 10,000 terms here
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out
+
 
 class TestAsymCommand:
     def test_payload(self, capsys):
@@ -272,6 +286,15 @@ class TestSampleCommand:
         )
         assert code == 1 and "count" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("q", ["0.5", "nan"])
+    def test_trial_rejects_q(self, capsys, q, fmt):
+        code, out, err = run_cli(
+            capsys, "sample", "--model", "trial", "--p", "0.5", "--q", q,
+            "--count", "3", "--seed", "1", "--format", fmt,
+        )
+        assert (code, out, err) == (1, "", "error: --model trial takes no --q\n")
+
 
 class TestAnalyzeCommand:
     def test_physics_json(self, capsys):
@@ -345,12 +368,11 @@ class TestStrictJson:
         assert (code, out) == (1, "")
         assert err == "error: gamma must be finite, got inf\n"
 
-    def test_non_finite_value_exits_1(self, capsys):
-        # the trial model ignores --q, but the JSON envelope echoes it
-        code, out, err = run_cli(
-            capsys, "sample", "--model", "trial", "--p", "0.5", "--q", "nan",
-            "--count", "3", "--seed", "1",
-        )
+    def test_non_finite_value_exits_1(self, capsys, monkeypatch):
+        # no documented input reaches a NaN any more; a patched kernel stands
+        # in for one, to show that strict rendering turns it into exit 1
+        monkeypatch.setattr(cli.trial_chain, "improper_mass", lambda params: math.nan)
+        code, out, err = run_cli(capsys, "improper-mass", "--p", "0.5", "--gamma", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error: Out of range float values are not JSON compliant")
 

@@ -161,6 +161,24 @@ class TestRiemannZeta:
     def test_large_argument_tends_to_one(self):
         assert sf.riemann_zeta(60.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("s", [1.000001, 1.5, 2.0, 3.0, 10.0])
+    def test_start_two_is_zeta_minus_one(self, s):
+        assert sf.riemann_zeta(s, start=2) == pytest.approx(sf.riemann_zeta(s) - 1.0, rel=1e-12)
+
+    def test_start_two_keeps_relative_accuracy(self):
+        # zeta(60) - 1 = 2^-60 (1 + 3^-60 ...) has no digits left after
+        # subtracting 1 from zeta(60)
+        assert sf.riemann_zeta(60.0, start=2) == pytest.approx(2.0**-60, rel=1e-15)
+
+    def test_underflowing_argument(self):
+        assert sf.riemann_zeta(1e300) == 1.0
+        assert sf.riemann_zeta(1e300, start=2) == 0.0
+
+    @pytest.mark.parametrize("start", [0, 24])
+    def test_start_domain(self, start):
+        with pytest.raises(ValueError):
+            sf.riemann_zeta(2.0, start=start)
+
 
 class TestHarmonicPartialAsymptote:
     def test_single_term(self):

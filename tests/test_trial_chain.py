@@ -179,6 +179,93 @@ class TestExactEvaluators:
         assert table.total_mass() == pytest.approx(1.0, abs=1e-12)
 
 
+def _cold(fn, *args):
+    """fn(*args) on an empty prefix cache: one scan of exactly the length
+    the call needs."""
+    tc._log_survival_prefix.cache_clear()
+    return fn(*args)
+
+
+PREFIX_CHAINS = [(0.5, 0.7), (0.3, 1.0), (0.8, 1.5), (0.6, 2.5)]
+
+
+class TestSurvivalPrefixCache:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        tc._log_survival_prefix.cache_clear()
+        yield
+        tc._log_survival_prefix.cache_clear()
+
+    @pytest.mark.parametrize("p,gamma", PREFIX_CHAINS)
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "scattered"])
+    def test_bit_identical_whatever_the_order(self, p, gamma, order):
+        params = TrialChainParams(p, gamma)
+        ns = list(range(1, 400))
+        if order == "decreasing":
+            ns.reverse()
+        elif order == "scattered":
+            np.random.default_rng(7).shuffle(ns)
+        warm = [(tc.log_pmf(params, n), tc.log_tail(params, n)) for n in ns]
+        cold = [(_cold(tc.log_pmf, params, n), _cold(tc.log_tail, params, n)) for n in ns]
+        assert warm == cold
+
+    @pytest.mark.parametrize("p,gamma", PREFIX_CHAINS)
+    def test_tables_bit_identical_before_and_after_scalars(self, p, gamma):
+        params = TrialChainParams(p, gamma)
+        want_tails = _cold(tc.tail_table, params, 1500).tobytes()
+        want_pmf = _cold(tc.pmf_table, params, 700).log_probs.tobytes()
+        want_scalar = [_cold(tc.log_tail, params, m) for m in (3, 100, 1000, 1500)]
+        # table first, then scalars inside and past it
+        tc._log_survival_prefix.cache_clear()
+        assert tc.tail_table(params, 1500).tobytes() == want_tails
+        assert [tc.log_tail(params, m) for m in (3, 100, 1000, 1500)] == want_scalar
+        # scalars first, then tables that grow the chain and read it back
+        tc._log_survival_prefix.cache_clear()
+        assert [tc.log_tail(params, m) for m in (3, 100)] == want_scalar[:2]
+        assert tc.pmf_table(params, 700).log_probs.tobytes() == want_pmf
+        assert tc.tail_table(params, 1500).tobytes() == want_tails
+
+    def test_views_are_read_only(self):
+        first = tc._log_survival_prefix(0.5, 1.0, 10)
+        grown = tc._log_survival_prefix(0.5, 1.0, 100)
+        assert first.shape == (11,) and grown.shape == (101,)
+        for view in (first, grown, tc._log_survival_prefix(0.5, 1.0, 5)):
+            assert not view.flags.writeable
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+        assert np.array_equal(first, grown[:11])
+        # tail_table hands out its own copy
+        table = tc.tail_table(TrialChainParams(0.5, 1.0), 10)
+        table[0] = 1.0
+        assert tc._log_survival_prefix(0.5, 1.0, 9)[0] == 0.0
+
+    def test_loop_over_n_misses_logarithmically(self):
+        params = TrialChainParams(0.5, 0.7)
+        for n in range(1, 3001):
+            tc.pmf(params, n)
+        info = tc._log_survival_prefix.cache_info()
+        assert info.misses <= 2 + math.log2(3000)
+        assert info.hits + info.misses == 2999  # n = 1 needs no prefix
+
+    def test_eviction_keeps_32_chains(self):
+        chains = [TrialChainParams(0.1 + 0.01 * i, 1.0) for i in range(40)]
+        for params in chains:
+            tc.log_tail(params, 10)
+        info = tc._log_survival_prefix.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (40, 32, 32)
+        tc.log_tail(chains[-1], 10)  # most recently used: kept
+        tc.log_tail(chains[0], 10)  # least recently used: evicted
+        info = tc._log_survival_prefix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 41, 32)
+
+    def test_cache_clear_resets_chains_and_counts(self):
+        tc.log_tail(TrialChainParams(0.5, 1.0), 50)
+        tc.log_tail(TrialChainParams(0.5, 1.0), 20)
+        assert tc._log_survival_prefix.cache_info()[:2] == (1, 1)
+        tc._log_survival_prefix.cache_clear()
+        assert tc._log_survival_prefix.cache_info() == (0, 0, 32, 0)
+
+
 class TestSibuyaClosedForm:
     def test_hand_values(self):
         assert tc.sibuya_tail_closed(0.5, 1) == 1.0
@@ -241,11 +328,38 @@ class TestImproperMass:
         mass = tc.improper_mass(TrialChainParams(p, gamma))
         assert 0.0 < mass < 1.0 - p + 1e-15  # bounded by the k=1 factor
 
+    @pytest.mark.parametrize(
+        "p,gamma", [(0.997, 3.0), (0.999, 1.5), (0.9999, 10.0), (0.999999, 1.000001)]
+    )
+    def test_p_near_one_against_mpmath(self, p, gamma):
+        # these once exhausted a 10,000-term series and raised RuntimeError
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            p_, g = mpmath.mpf(p), mpmath.mpf(gamma)
+            log_mass = mpmath.log1p(-p_)
+            j = 1
+            while True:
+                term = p_**j / j * (mpmath.zeta(g * j) - 1)
+                log_mass -= term
+                if term < mpmath.mpf(10) ** -45:
+                    break
+                j += 1
+            want = float(mpmath.exp(log_mass))
+        got = tc.improper_mass(TrialChainParams(p, gamma))
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_huge_gamma_keeps_only_the_first_factor(self):
+        assert tc.improper_mass(TrialChainParams(0.25, 1e300)) == 0.75
+
 
 class TestConditionalPmf:
     def test_requires_improper(self):
         with pytest.raises(ValueError):
             tc.conditional_pmf(TrialChainParams(0.5, 1.0), 3)
+
+    def test_p_near_one(self):
+        value = tc.conditional_pmf(TrialChainParams(0.997, 3.0), 5)
+        assert 0.0 < value < 1.0
 
     def test_first_value(self):
         params = TrialChainParams(0.5, 2.0)
