@@ -56,6 +56,13 @@ _LANCZOS_C = (
 )
 _HALF_LOG_TWO_PI = 0.91893853320467274178
 
+# Above this the Stirling route below takes over from the Lanczos sum.
+_STIRLING_MIN = 256.0
+# ln 2 = _LN2_HI + _LN2_LO with _LN2_HI = 22713 / 2^15, so e * _LN2_HI for
+# any binary exponent e carries at most 26 significant bits.
+_LN2_HI = 0.693145751953125
+_LN2_LO = 1.4286068203094173e-06
+
 
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0.
@@ -64,9 +71,12 @@ def log_gamma(x: float) -> float:
     reflection formula so small x stays fully accurate.  Absolute error is
     at or below 1e-12 wherever ln Gamma(x) itself is small enough for that
     to be representable; elsewhere the result is correct to a few ulp.
+    From x = 256 on, the Stirling route is within one ulp.
     """
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
+    if x >= _STIRLING_MIN:
+        return _log_gamma_stirling(x)
     if x < 0.5:
         # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -76,6 +86,33 @@ def log_gamma(x: float) -> float:
         s += _LANCZOS_C[i] / (xm1 + i)
     t = xm1 + _LANCZOS_G + 0.5
     return (xm1 + 0.5) * math.log(t) - t + _HALF_LOG_TWO_PI + math.log(s)
+
+
+def _log_gamma_stirling(x: float) -> float:
+    """(x - 1/2) ln x - x + ln(2 pi)/2 + 1/(12x) - 1/(360x^3) + 1/(1260x^5).
+
+    The Lanczos main term rounds ln(x + 4.2) and a product about 1.1 times
+    ln Gamma(x) before cancelling it against x, which costs up to 3 ulp.
+    Here ln x = e ln 2 + log1p(m - 1) with x = m 2^e, m in [sqrt(1/2),
+    sqrt(2)); the dominant product x e _LN2_HI is formed exactly as the
+    sum of two products that fit in 53 bits, and math.fsum adds every part with one
+    rounding, so the rounded remainder (about x/13 at most) adds well
+    under 0.1 ulp.  The series tail past 1/(1260x^5) is below 1e-20.
+    """
+    if x == math.inf:
+        return math.inf
+    m, e = math.frexp(x)
+    if m < 0.7071067811865476:
+        m *= 2.0
+        e -= 1
+    big = e * _LN2_HI
+    # x = x_hi + x_lo exactly, x_hi with 26 significant bits, x_lo with 27
+    x_lo = math.fmod(x, math.ldexp(1.0, math.frexp(x)[1] - 26))
+    x_hi = x - x_lo
+    r = 1.0 / (x * x)
+    series = (1.0 / 12.0 - r * (1.0 / 360.0 - r / 1260.0)) / x
+    rest = (x - 0.5) * (math.log1p(m - 1.0) + e * _LN2_LO)
+    return math.fsum((x_hi * big, x_lo * big, -0.5 * big, rest, -x, _HALF_LOG_TWO_PI, series))
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 for Euler-Maclaurin / Stirling tails.

@@ -87,6 +87,28 @@ class TestLogGamma:
         defect = value - sf.log_gamma(x) - math.log(x)
         assert abs(defect) <= max(1e-11, 4.0 * math.ulp(value))
 
+    def test_recurrence_at_lanczos_counterexample(self):
+        # the Lanczos sum alone gave a defect of -1.465e-11 here, above the
+        # 4-ulp bound of 1.455e-11
+        x = 3989.101519862594
+        value = sf.log_gamma(x + 1.0)
+        defect = value - sf.log_gamma(x) - math.log(x)
+        assert abs(defect) <= 4.0 * math.ulp(value)
+
+    @pytest.mark.parametrize(
+        "x", [256.0, 300.5, 3989.101519862594, 1e4 + 0.25, 123456.789, 1e9 + 0.5, 2.0**60, 1e300]
+    )
+    def test_stirling_route_within_one_ulp(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpf(x))
+            err = abs(mpmath.mpf(sf.log_gamma(x)) - ref)
+        assert err <= math.ulp(float(ref))
+
+    def test_overflow_and_infinity(self):
+        assert sf.log_gamma(1e306) == math.inf
+        assert sf.log_gamma(math.inf) == math.inf
+
 
 class TestGammaRatio:
     def test_example_m2(self):
