@@ -45,7 +45,7 @@ for t in (1e-1, 1e-3, 1e-6):
     print(f"  t = {t:<6}  1 - E[exp(-tS)] = {exact:.10e}   ~ ((1-q)/q)^p t^p = {asym:.10e}")
 
 print()
-print("=== simulation: chains literally, citation sums exactly ===")
+print("=== simulation: paper counts by inverse transform, citation sums exactly ===")
 rng = streams.derive_streams(101, 1)[0]
 papers, citations = author_model.sample_citations(params, rng, 3000, cap=10**8)
 print(f"  3000 authors: max papers = {papers.max()}, max citations = {citations.max()}")

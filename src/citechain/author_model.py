@@ -189,10 +189,11 @@ def sample_citations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n author draws of (paper count X, citation total S).
 
-    X is sampled by running the trial chain literally; S is the sum of X
-    iid geometric({0,1,...}, q) citation counts, drawn as a negative
-    binomial with X successes (the exact law of that sum).  Chains censored
-    at `cap` papers raise, since S would be undefined.
+    X is drawn from the gamma = 1 trial chain by `trial_chain.sample_many`
+    (inverse transform, one uniform per draw); S is the sum of X iid
+    geometric({0,1,...}, q) citation counts, drawn as a negative binomial
+    with X successes (the exact law of that sum).  Chains censored at `cap`
+    papers raise, since S would be undefined.
     """
     papers, censored = trial_chain.sample_many(
         trial_chain.TrialChainParams(params.p, 1.0), rng, n, cap=cap

@@ -24,6 +24,7 @@ __all__ = [
     "hyp2f1_terminating",
     "log_gamma",
     "log_gamma_ratio",
+    "log_gamma_ratio_array",
     "riemann_zeta",
     "series_compose",
 ]
@@ -145,8 +146,28 @@ def log_gamma_ratio(m: float, p: float) -> float:
         raise ValueError(f"log_gamma_ratio requires m - p > 0, got m={m!r}, p={p!r}")
     if m < 30.0:
         return log_gamma(m - p) - log_gamma(m)
-    x = float(m)
-    d = (x - p - 0.5) * math.log1p(-p / x) - p * math.log(x) + p
+    return _stirling_ratio(float(m), p, math.log1p, math.log)
+
+
+def log_gamma_ratio_array(m: np.ndarray, p: float) -> np.ndarray:
+    """Array form of `log_gamma_ratio` for m >= 30, 0 < p < 1.
+
+    The same Stirling difference, evaluated with numpy's log1p and log, so
+    a value can differ from the scalar one by an ulp or two; the scalar
+    stays the route for single values.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"log_gamma_ratio_array requires p in (0,1), got {p!r}")
+    x = np.asarray(m, dtype=np.float64)
+    if not (x >= 30.0).all():
+        raise ValueError("log_gamma_ratio_array requires every m >= 30")
+    return _stirling_ratio(x, p, np.log1p, np.log)
+
+
+def _stirling_ratio(x, p, log1p, log):
+    # ln Gamma(x - p) - ln Gamma(x) from the difference of Stirling series;
+    # x is a float or an array, with the matching log1p and log
+    d = (x - p - 0.5) * log1p(-p / x) - p * log(x) + p
     for k, b2k in enumerate(_BERNOULLI, start=1):
         d += b2k / ((2 * k) * (2 * k - 1)) * ((x - p) ** (1 - 2 * k) - x ** (1 - 2 * k))
     return d

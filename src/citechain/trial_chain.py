@@ -296,6 +296,11 @@ def improper_mass(params: TrialChainParams) -> float:
     """
     if params.gamma <= 1.0:
         return 0.0
+    return math.exp(_log_improper_mass(params))
+
+
+def _log_improper_mass(params: TrialChainParams) -> float:
+    """ln P{X = infinity} for gamma > 1, by the series of `improper_mass`."""
     p, gamma = params.p, params.gamma
     r = p * 2.0**-gamma
     parts = [-math.log1p(-p)]
@@ -305,7 +310,7 @@ def improper_mass(params: TrialChainParams) -> float:
         parts.append(term)
         total += term
         if term * r / (1.0 - r) <= 1e-17 * total:
-            return math.exp(-math.fsum(parts))
+            return -math.fsum(parts)
 
 
 def conditional_pmf(params: TrialChainParams, n: int) -> float:
@@ -463,39 +468,82 @@ def sample(params: TrialChainParams, rng: np.random.Generator, cap: int = DEFAUL
     return Censored(cap)
 
 
+# first survival-table length that `sample_many` searches
+_SAMPLE_TABLE = 4096
+
+
 def sample_many(
     params: TrialChainParams,
     rng: np.random.Generator,
     n: int,
     cap: int = DEFAULT_CAP,
-    _block_budget: int = 4_000_000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized version of `sample`: n independent chains, one uniform per
-    executed trial (identical semantics, batched by trial index).
+    """n independent draws of the law of `sample`, by inverse transform.
+
+    Draw i takes the i-th uniform U_i of `rng.random(n)` and returns the
+    first m with ln P{X > m} < log1p(-U_i), so it depends only on the
+    generator state and i, not on n.  ln P{X > m} is the survival prefix:
+    in closed form at gamma = 0 (geometric), otherwise searched in a table
+    of min(cap, 4096) terms that grows fourfold only while some draw lies
+    past its end.  At gamma = 1 the table does not grow; draws past it
+    bisect the closed Sibuya tail Gamma(m+1-p) / (Gamma(m+1) Gamma(1-p)).
+    At gamma > 1 a draw with log1p(-U) <= ln P{X = infinity} never
+    succeeds and is censored without a search.
 
     Returns (values, censored): values[i] is the first-success index, valid
-    where ~censored[i]; censored chains ran `cap` trials without success.
+    where ~censored[i]; censored draws have no success in the first `cap`
+    trials, and their values are 0.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap!r}")
+    if not 1 <= cap < 2**63:
+        raise ValueError(f"cap must be in 1..2**63 - 1, got {cap!r}")
+    p, gamma = params.p, params.gamma
+    t = np.log1p(-rng.random(n))
+    if gamma == 0.0:
+        # m ln(1-p) < t  <=>  m > t / ln(1-p)
+        below = np.floor(t / math.log1p(-p))
+        censored = below >= cap
+        return np.where(censored, 0.0, below + 1.0).astype(np.int64), censored
     values = np.zeros(n, dtype=np.int64)
-    alive = np.arange(n, dtype=np.int64)
-    k = 1
-    while k <= cap and alive.size:
-        block = max(1, min(_block_budget // alive.size, cap - k + 1))
-        ks = np.arange(k, k + block, dtype=np.float64)
-        thresholds = np.full(block, params.p) if params.gamma == 0.0 else params.p / ks**params.gamma
-        hits = rng.random((alive.size, block)) < thresholds[None, :]
-        hit_any = hits.any(axis=1)
-        if hit_any.any():
-            values[alive[hit_any]] = k + np.argmax(hits[hit_any], axis=1)
-        alive = alive[~hit_any]
-        k += block
-    censored = np.zeros(n, dtype=bool)
-    censored[alive] = True
+    censored = t <= _log_improper_mass(params) if gamma > 1.0 else np.zeros(n, dtype=bool)
+    todo = np.flatnonzero(~censored)
+    size = min(cap, _SAMPLE_TABLE)
+    while True:
+        prefix = _log_survival_prefix(p, gamma, size)
+        m = np.searchsorted(-prefix, -t[todo], side="right")
+        found = m <= size
+        values[todo[found]] = m[found]
+        todo = todo[~found]
+        if not todo.size or size == cap:
+            break
+        if gamma == 1.0:
+            values[todo], censored[todo] = _sibuya_search(p, t[todo], size, cap)
+            return values, censored
+        size = min(cap, 4 * size)
+    censored[todo] = True
     return values, censored
+
+
+def _sibuya_search(
+    p: float, t: np.ndarray, lo: int, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first m in lo+1..cap with ln P{X > m} < t, censored) at gamma = 1,
+    for draws with ln P{X > lo} >= t, by bisection of the closed tail."""
+    log_norm = specfun.log_gamma(1.0 - p)
+
+    def log_survival(m):
+        return specfun.log_gamma_ratio_array(m + 1.0, p) - log_norm
+
+    censored = log_survival(np.float64(cap)) >= t
+    lo = np.full(t.size, lo, dtype=np.int64)
+    hi = np.full(t.size, cap, dtype=np.int64)
+    while (hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        below = log_survival(mid.astype(np.float64)) < t
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return np.where(censored, 0, hi), censored
 
 
 def evaluate_pgf(

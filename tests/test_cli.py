@@ -216,6 +216,12 @@ class TestSampleCommand:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    def test_trial_draws_do_not_depend_on_count(self, capsys):
+        argv = ("sample", "--model", "trial", "--p", "0.5", "--gamma", "1", "--seed", "1")
+        ten = run_json(capsys, *argv, "--count", "10")["payload"]["values"]
+        eleven = run_json(capsys, *argv, "--count", "11")["payload"]["values"]
+        assert eleven[:10] == ten
+
     def test_trial_payload_and_derivation(self, capsys):
         env = run_json(
             capsys, "sample", "--model", "trial", "--p", "0.5", "--gamma", "1",
@@ -375,6 +381,21 @@ class TestStrictJson:
         code, out, err = run_cli(capsys, "improper-mass", "--p", "0.5", "--gamma", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.00 GiB")])
+    def test_exits_1_with_message(self, capsys, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.trial_chain, "sample_many", fail)
+        code, out, err = run_cli(
+            capsys, "sample", "--model", "trial", "--p", "0.5", "--gamma", "0.5",
+            "--count", "3", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {str(exc) or 'out of memory'}\n"
 
 
 class TestSubprocess:

@@ -487,6 +487,23 @@ class TestPgf:
         assert abs(value - closed) <= bound + 1e-13
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose `random(n)` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _chi2_upper(df):
+    """Upper 1e-4 quantile of chi2(df), Wilson-Hilferty approximation."""
+    z = 3.719
+    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
 class TestSampling:
     def test_deterministic(self):
         params = TrialChainParams(0.5, 0.7)
@@ -532,13 +549,96 @@ class TestSampling:
         values, censored = tc.sample_many(TrialChainParams(0.5, 1.0), np.random.default_rng(0), 0)
         assert values.size == 0 and censored.size == 0
 
-    def test_sample_many_small_blocks_match_semantics(self):
-        # forcing tiny uniform blocks must not change the law: each chain
-        # still consumes one uniform per executed trial in index order
-        params = TrialChainParams(0.6, 0.4)
-        v1, c1 = tc.sample_many(params, np.random.default_rng(17), 200, cap=50, _block_budget=1)
-        assert not c1.any()
-        assert v1.min() >= 1 and v1.max() <= 50
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0, 2.0])
+    def test_sample_many_draws_do_not_depend_on_count(self, gamma):
+        # draw i depends only on the generator state and i: the first n
+        # draws of a batch of n + 1 are the batch of n
+        params = TrialChainParams(0.5, gamma)
+        for seed in (1, 2, 3):
+            for n in (10, 1000):
+                v1, c1 = tc.sample_many(params, np.random.default_rng(seed), n)
+                v2, c2 = tc.sample_many(params, np.random.default_rng(seed), n + 1)
+                np.testing.assert_array_equal(v1, v2[:n])
+                np.testing.assert_array_equal(c1, c2[:n])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0, 2.0])
+    def test_zero_uniform_gives_first_trial(self, gamma):
+        values, censored = tc.sample_many(
+            TrialChainParams(0.5, gamma), _FixedUniforms(np.zeros(3)), 3
+        )
+        assert values.tolist() == [1, 1, 1] and not censored.any()
+
+    @pytest.mark.parametrize(
+        "p,gamma", [(0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.05, 0.5), (0.9, 1.5)]
+    )
+    def test_matches_search_of_the_full_table(self, p, gamma):
+        # the draws past the first 4096-term table (closed Sibuya tail at
+        # gamma = 1, a grown table otherwise) against one search of the
+        # whole survival prefix up to the cap
+        cap = 2**17
+        full = tc._log_survival_prefix(p, gamma, cap)
+        targets = np.linspace(full[-1] - 1.0, full[1000], 20_000)
+        u = np.concatenate(
+            ([0.0], np.random.default_rng(23).random(20_000), -np.expm1(targets))
+        )
+        values, censored = tc.sample_many(TrialChainParams(p, gamma), _FixedUniforms(u), u.size, cap)
+        t = np.log1p(-u)
+        want = np.searchsorted(-full, -t, side="right")
+        want_censored = want > cap
+        assert (want > tc._SAMPLE_TABLE).sum() > 1000 and want_censored.sum() > 100
+        # one cell boundary of the table lies within 1e-12 of t
+        near = (np.abs(full[want - 1] - t) <= 1e-12) | (
+            np.abs(full[np.minimum(want, cap)] - t) <= 1e-12
+        )
+        if gamma != 1.0:
+            near[:] = False  # same table bits: no tolerance
+        assert near.sum() < 10
+        np.testing.assert_array_equal(censored[~near], want_censored[~near])
+        np.testing.assert_array_equal(
+            values[~near & ~censored], want[~near & ~censored]
+        )
+        assert (values[censored] == 0).all()
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_chi_square_across_table_seam_and_cap(self, p):
+        # cells straddle the end of the first table (4096) and the cap, so
+        # both the table search and the closed-tail bisection are tested
+        # against the law; the reference tail is math.lgamma's closed form
+        cap, n_draws = 2**17, 1_000_000
+        rng = np.random.default_rng(np.random.SeedSequence(20261019).spawn(1)[0])
+        values, censored = tc.sample_many(TrialChainParams(p, 1.0), rng, n_draws, cap=cap)
+        edges = np.array([1, 2, 3, 5, 10, 30, 100, 300, 1000, 2500, 4000, 4200,
+                          6000, 20000, 60000, 120000, cap + 1])
+
+        def tail_ge(m):  # P{X >= m}
+            return math.exp(math.lgamma(m - p) - math.lgamma(m) - math.lgamma(1.0 - p))
+
+        t = np.array([tail_ge(int(m)) for m in edges])
+        probs = np.append(t[:-1] - t[1:], t[-1])
+        cells = np.searchsorted(edges, values[~censored], side="right") - 1
+        counts = np.append(np.bincount(cells, minlength=edges.size - 1), censored.sum())
+        expected = probs * n_draws
+        assert expected.min() > 50.0
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stat < _chi2_upper(edges.size - 1)
+
+    @pytest.mark.parametrize("gamma", [60.0, 1e6])
+    def test_huge_gamma_censors_without_scanning_to_cap(self, gamma):
+        # every chain either succeeds at trial 1 or never: the never-success
+        # draws are censored by the improper mass, not by a table out to cap
+        params = TrialChainParams(0.5, gamma)
+        tc._log_survival_prefix.cache_clear()
+        values, censored = tc.sample_many(params, np.random.default_rng(8), 100_000)
+        assert (values[~censored] == 1).all()
+        mass = tc.improper_mass(params)
+        assert abs(censored.mean() - mass) < 5.0 * math.sqrt(mass * (1.0 - mass) / 1e5)
+        assert tc._prefix_chains[(0.5, gamma)][0].size == tc._SAMPLE_TABLE + 1
+
+    def test_table_grows_only_past_its_end(self):
+        tc._log_survival_prefix.cache_clear()
+        values, _ = tc.sample_many(TrialChainParams(0.5, 0.7), np.random.default_rng(4), 100_000)
+        assert values.max() < tc._SAMPLE_TABLE
+        assert tc._prefix_chains[(0.5, 0.7)][0].size == tc._SAMPLE_TABLE + 1
 
     @pytest.mark.parametrize("p,gamma", [(0.5, 0.5), (0.5, 1.0), (0.5, 2.0), (0.3, 0.0)])
     def test_chi_square_against_pmf(self, p, gamma):
