@@ -2,9 +2,10 @@
 
 Paper count X follows the gamma = 1 trial chain with exponent p; each paper
 collects a geometric({0,1,...}, q) number of citations; S is the citation
-total.  The pmf of S has a closed hypergeometric form, a stable convolution
-series, and a generating-function composition route, and all three agree.
-The law inherits the X tail: S has infinite mean.
+total.  The package computes the pmf of S by a convolution series; here it
+is set beside a numeric generating-function composition and the closed
+values P{S = 0} = 1 - (1-q)^p and P{S = 1} = p q (1-q)^p.  The law inherits
+the X tail: S has infinite mean.
 """
 
 import math
@@ -17,16 +18,18 @@ from citechain.specfun import PowerSeries, series_compose
 
 params = AuthorParams(p=0.5, q=0.5)
 
-print("=== pmf head, three routes ===")
-chain = trial_chain.pmf_table(trial_chain.TrialChainParams(0.5, 1.0), 2000)
+print("=== pmf head: series against pgf composition ===")
+p, q = params.p, params.q
+chain = trial_chain.pmf_table(trial_chain.TrialChainParams(p, 1.0), 2000)
 outer = PowerSeries(np.concatenate(([0.0], chain.probs)))
-inner = PowerSeries(0.5 * 0.5 ** np.arange(13, dtype=np.float64))
+inner = PowerSeries(q * (1.0 - q) ** np.arange(13, dtype=np.float64))
 composed = series_compose(outer, inner, 12).coeffs
 series = author_model.author_pmf_series(params, 12)
-print("   s   closed form        series             pgf composition")
+closed = {0: -math.expm1(p * math.log1p(-q)), 1: p * q * (1.0 - q) ** p}
+print("   s   series             pgf composition    closed form")
 for s in range(6):
-    closed = author_model.author_pmf(params, s, strategy="hyp" if s else "auto")
-    print(f"  {s:>2}   {closed:.15f}  {series[s]:.15f}  {composed[s]:.15f}")
+    exact = f"{closed[s]:.15f}" if s in closed else ""
+    print(f"  {s:>2}   {series[s]:.15f}  {composed[s]:.15f}  {exact}".rstrip())
 
 print()
 print("=== the tail is a power law: partial means keep growing ===")

@@ -3,22 +3,22 @@
 Layout:
 
 - `specfun`: self-contained special functions (log-gamma, zeta,
-  terminating 2F1, truncated power series) tuned for the ranges the
-  distribution code needs.
+  truncated power series) tuned for the ranges the distribution code
+  needs.
 - `trial_chain`: first-success laws with success probability p/k^gamma,
   their tails, asymptotic shapes, improper mass, samplers, and the
   growing-probability variant.
 - `author_model`: compound law of total citations for an author whose
-  paper count follows the gamma = 1 chain.
+  paper count follows the gamma = 1 chain, by one convolution series.
 - `hirsch`: analytic h-index distribution under the chain model plus
-  event-level simulation.
+  vectorized event-level simulation.
 - `scientometrics`: citation-table statistics (kappa, correlations) with
   embedded reference listings.
 - `cli`: `citechain` command-line interface over all of the above.
 """
 
 from .author_model import AuthorParams, author_pmf, author_pmf_series
-from .hirsch import HirschMode, HirschParams, hirsch_pmf, simulate_hirsch
+from .hirsch import HirschMode, HirschParams, hirsch_pmf
 from .scientometrics import AuthorRecord, ReportTable, load_dataset, report
 from .tables import PmfTable
 from .trial_chain import (
@@ -68,6 +68,5 @@ __all__ = [
     "sample",
     "sample_many",
     "sibuya_tail_closed",
-    "simulate_hirsch",
     "tail",
 ]

@@ -11,21 +11,19 @@ Its probability generating function is
     R(z) = 1 - (1-q)^p (1-z)^p (1 - (1-q) z)^(-p),
 
 obtained by composing the chain pgf 1 - (1-z)^p with the geometric pgf
-q / (1 - (1-q) z).  Coefficients come from either a terminating
-hypergeometric closed form (fast, mildly unstable at large s) or a direct
-convolution of the two binomial series (stable at any s); both routes are
-exposed and cross-checked in tests.
+q / (1 - (1-q) z).  Its coefficients come from one route, the convolution
+of the two binomial series (`author_pmf_series`); the tests check it against
+a terminating-2F1 closed form and a numeric pgf composition.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun, trial_chain
+from . import trial_chain
 from .tables import PmfTable
 
 __all__ = [
@@ -39,10 +37,6 @@ __all__ = [
     "paper_count_params",
     "sample_citations",
 ]
-
-_STRATEGY_SWITCH_S = 150
-_CROSSCHECK_REL_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class AuthorParams:
@@ -63,33 +57,17 @@ def paper_count_params(params: AuthorParams) -> trial_chain.TrialChainParams:
     return trial_chain.TrialChainParams(p=params.p, gamma=1.0)
 
 
-def _pmf_hyp(params: AuthorParams, s: int) -> float:
-    """Closed form: P{S=s} for s >= 1 via a terminating 2F1 sum.
-
-    P{S=s} = (1-q)^p (-1)^(s+1) C(p, s) 2F1(p, -s; 1+p-s; 1-q)
-    where C(p, s) is the generalized binomial coefficient.  The 2F1 argument
-    c = 1+p-s is a negative non-integer for s >= 2, so the terminating sum
-    is well defined but alternates; beyond s of a few hundred, cancellation
-    makes this route lose digits (see `author_pmf`).
-    """
-    p, q = params.p, params.q
-    sign = -1.0 if s % 2 == 0 else 1.0
-    return (
-        (1.0 - q) ** p
-        * sign
-        * specfun.gen_binomial(p, s)
-        * specfun.hyp2f1_terminating(p, s, 1.0 + p - s, 1.0 - q)
-    )
-
-
 def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
     """Coefficients [z^s] R(z) for s = 0..s_max via stable convolution.
 
     (1-z)^p has coefficients a_0 = 1, a_{s+1} = a_s (s - p)/(s + 1) (all
     non-positive past a_0), and (1 - (1-q)z)^(-p) has positive coefficients
     b_0 = 1, b_{s+1} = b_s (p + s)(1 - q)/(s + 1).  Their Cauchy product has
-    one sign flip and no cancellation growth, so this route stays accurate
-    at arbitrary s.
+    one sign flip and no cancellation growth in s.  It does cancel as
+    q -> 0, where (1-z)^p (1-z)^(-p) = 1: at s = 1 the product is
+    -p + p(1-q) = -pq, so a coefficient past s = 0 carries a relative error
+    of up to about eps/q (at p = 0.5, s = 1: 1.1e-13 at q = 1e-4 and 5.0e-9
+    at q = 1e-8).  P{S = 0} = 1 - (1-q)^p is taken in closed form.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max!r}")
@@ -103,45 +81,16 @@ def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
         b[s + 1] = b[s] * (p + s) * (1.0 - q) / (s + 1)
     conv = np.convolve(a, b)[: s_max + 1]
     out = -((1.0 - q) ** p) * conv
-    out[0] += 1.0
+    out[0] = -math.expm1(p * math.log1p(-q))
     return out
 
 
-def author_pmf(params: AuthorParams, s: int, strategy: str = "auto") -> float:
-    """P{S = s}: probability the author accumulates exactly s citations.
-
-    strategy: "auto" picks the closed hypergeometric form for small s and
-    the convolution series beyond s = 150; "hyp" and "series" force a route.
-    Under "auto" at large s both routes are computed and compared, and a
-    NumericalInstabilityWarning reports any relative disagreement beyond
-    1e-8 (the series value is returned).
-    """
+def author_pmf(params: AuthorParams, s: int) -> float:
+    """P{S = s}: probability the author accumulates exactly s citations,
+    entry s of `author_pmf_series`."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s!r}")
-    if strategy not in ("auto", "hyp", "series"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if s == 0:
-        # author has at least one paper, so s = 0 means every paper drew
-        # zero citations: R(0) = 1 - (1-q)^p
-        return -math.expm1(params.p * math.log1p(-params.q))
-    if strategy == "hyp":
-        return _pmf_hyp(params, s)
-    if strategy == "series":
-        return float(author_pmf_series(params, s)[s])
-    if s <= _STRATEGY_SWITCH_S:
-        return _pmf_hyp(params, s)
-    series_val = float(author_pmf_series(params, s)[s])
-    hyp_val = _pmf_hyp(params, s)
-    denom = max(abs(series_val), abs(hyp_val), 1e-300)
-    rel = abs(series_val - hyp_val) / denom
-    if rel > _CROSSCHECK_REL_TOL:
-        warnings.warn(
-            f"closed-form and series evaluations of pmf({s}) disagree by "
-            f"{rel:.3e} relative; returning the series value",
-            specfun.NumericalInstabilityWarning,
-            stacklevel=2,
-        )
-    return series_val
+    return float(author_pmf_series(params, s)[s])
 
 
 def author_log_pmf(params: AuthorParams, s: int) -> float:

@@ -231,14 +231,10 @@ def _cmd_growing_pmf(a) -> _Result:
 
 def _cmd_author_pmf(a) -> _Result:
     params = author_model.AuthorParams(a.p, a.q)
-    if a.method == "hyp":
-        probs = [author_model.author_pmf(params, s, strategy="hyp") for s in range(a.s_max + 1)]
-    else:
-        probs = [float(v) for v in author_model.author_pmf_series(params, a.s_max)]
-    log_tail = _log_or_neg_inf(max(0.0, 1.0 - math.fsum(probs)))
+    table = author_model.author_pmf_table(params, a.s_max)
     return _table(
         "author-pmf", {"p": a.p, "q": a.q, "s_max": a.s_max, "method": a.method},
-        "s", 0, [_log_or_neg_inf(v) for v in probs], tail=_Log(log_tail),
+        "s", 0, table.log_probs.tolist(), tail=_Log(table.log_tail),
     )
 
 
@@ -391,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=float, required=True)
     s.add_argument("--s-max", type=int, required=True)
     s.add_argument("--method", choices=("hyp", "oracle"), default="oracle",
-                   help="closed hypergeometric form or convolution series")
+                   help="accepted for compatibility and echoed in params; "
+                        "both values print the convolution series")
     _add_common(s)
     s.set_defaults(func=_cmd_author_pmf)
 

@@ -41,7 +41,6 @@ __all__ = [
     "log_tail_diagnostic",
     "normalization_deficit",
     "nu",
-    "simulate_hirsch",
     "simulate_hirsch_many",
 ]
 
@@ -188,64 +187,6 @@ def normalization_deficit(params: HirschParams, h_max: int) -> float:
     return 1.0 - params.q - math.fsum(hirsch_pmf(params, h) for h in range(1, h_max + 1))
 
 
-def _chain(params: HirschParams) -> trial_chain.TrialChainParams:
-    return trial_chain.TrialChainParams(p=params.p, gamma=1.0)
-
-
-def _resolve(counts: np.ndarray) -> tuple[int, bool]:
-    """(true_h, paper_event_matches) from one author's citation counts.
-
-    true_h = max{j >= 0 : at least j counts are >= j}; the closed-form
-    event matches iff the count of papers at >= true_h citations is exactly
-    true_h (G(h) - h strictly decreases in h, so no other h can match).
-    """
-    desc = np.sort(counts)[::-1]
-    true_h = int(np.count_nonzero(desc >= np.arange(1, desc.size + 1)))
-    g = int(np.count_nonzero(counts >= true_h))
-    return true_h, g == true_h
-
-
-def simulate_hirsch(
-    params: HirschParams,
-    rng: np.random.Generator,
-    mode: HirschMode = HirschMode.PAPER_EVENT,
-    caps: SimulationCaps = DEFAULT_CAPS,
-) -> int | None:
-    """One draw of the index: sample L, per-paper citations, resolve h.
-
-    Returns the index in TRUE_H mode; in PAPER_EVENT mode returns None when
-    the draw matches no h.  Truncations (paper count beyond caps.paper_cap,
-    citation chains censored at caps.citation_cap) are flagged with a
-    UserWarning when they could touch the resolved value.
-    """
-    l = int(rng.geometric(params.q)) - 1
-    if l > caps.paper_cap:
-        warnings.warn(
-            f"paper count {l} truncated to cap {caps.paper_cap}; the resolved "
-            "index may be affected",
-            UserWarning,
-            stacklevel=2,
-        )
-        l = caps.paper_cap
-    counts = np.empty(l, dtype=np.int64)
-    for i in range(l):
-        outcome = trial_chain.sample(_chain(params), rng, cap=caps.citation_cap)
-        counts[i] = (
-            outcome.n if isinstance(outcome, trial_chain.Finite) else caps.citation_cap
-        )
-    true_h, matches = _resolve(counts)
-    if true_h >= caps.citation_cap:
-        warnings.warn(
-            f"resolved index {true_h} reaches the citation cap; value is a "
-            "lower bound",
-            UserWarning,
-            stacklevel=2,
-        )
-    if mode is HirschMode.TRUE_H:
-        return true_h
-    return true_h if matches else None
-
-
 def simulate_hirsch_many(
     params: HirschParams,
     rng: np.random.Generator,
@@ -253,12 +194,14 @@ def simulate_hirsch_many(
     mode: HirschMode = HirschMode.PAPER_EVENT,
     caps: SimulationCaps = DEFAULT_CAPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `simulate_hirsch`: n authors in one batch.
+    """n draws of the index: sample L, per-paper citations, resolve h.
 
     Returns (h, valid).  In TRUE_H mode every draw is valid; in PAPER_EVENT
     mode valid[i] is False where draw i matched no h (h[i] is then the true
     index of that draw, provided for diagnostics but not part of the event
-    distribution).
+    distribution).  Truncations (paper counts beyond caps.paper_cap, citation
+    chains censored at caps.citation_cap) are flagged with a UserWarning
+    when they could touch the resolved values.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
@@ -274,7 +217,7 @@ def simulate_hirsch_many(
     total = int(lengths.sum())
     author = np.repeat(np.arange(n, dtype=np.int64), lengths)
     cits, censored = trial_chain.sample_many(
-        _chain(params), rng, total, cap=caps.citation_cap
+        trial_chain.TrialChainParams(params.p, 1.0), rng, total, cap=caps.citation_cap
     )
     # a censored chain has at least cap citations; the cap value keeps every
     # comparison against h < cap exact

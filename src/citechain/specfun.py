@@ -1,37 +1,30 @@
 """Self-contained special-function and truncated power-series kernel.
 
-Everything here is built from elementary functions only, so the rest of the
-package carries no numerical dependencies beyond numpy array arithmetic.
-Functions that feed probability computations (log_gamma, gamma_ratio,
-riemann_zeta) are tuned for absolute/relative accuracy near 1e-13 in their
-stated domains.
+Log-gamma and its ratios, Riemann zeta, harmonic partial sums, and
+truncated power series with composition.  Everything here is built from
+elementary functions only, so the rest of the package carries no numerical
+dependencies beyond numpy array arithmetic.  Functions that feed
+probability computations (log_gamma, gamma_ratio, riemann_zeta) are tuned
+for absolute/relative accuracy near 1e-13 in their stated domains.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "NumericalInstabilityWarning",
     "PowerSeries",
-    "gen_binomial",
     "gamma_ratio",
     "harmonic_partial_asymptote",
-    "hyp2f1_terminating",
     "log_gamma",
     "log_gamma_ratio",
     "log_gamma_ratio_array",
     "riemann_zeta",
     "series_compose",
 ]
-
-
-class NumericalInstabilityWarning(UserWarning):
-    """Raised (as a warning) when two summation strategies disagree."""
 
 
 # Lanczos rational approximation, g = 607/128, 15 terms.  Relative error of
@@ -238,85 +231,6 @@ def harmonic_partial_asymptote(s: float, n: int) -> tuple[float, float]:
     exact = math.fsum(ks**-s)
     asymptote = n ** (1.0 - s) / (1.0 - s) + riemann_zeta(s)
     return exact, asymptote
-
-
-def gen_binomial(a: float, s: int) -> float:
-    """Generalized binomial coefficient C(a, s) = a(a-1)...(a-s+1)/s!.
-
-    For a in (0,1) the sign alternates as (-1)^(s+1) once s >= 1 and the
-    magnitude decays like s^(-a-1)/|Gamma(-a)|.
-    """
-    if s < 0:
-        raise ValueError(f"gen_binomial requires s >= 0, got {s!r}")
-    out = 1.0
-    for i in range(s):
-        out *= (a - i) / (i + 1.0)
-    return out
-
-
-def _hyp2f1_signed_log(a: float, s: int, c: float, x: float) -> float:
-    """Terminating 2F1 via log-magnitude/sign accumulation (cross-check path)."""
-    # running term in (log|t|, sign) form; sum kept the same way
-    log_t, sign_t = 0.0, 1.0
-    log_sum, sign_sum = 0.0, 1.0
-    for m in range(s):
-        cm = c + m
-        if cm == 0.0:
-            raise ValueError(f"hyp2f1_terminating pole: c + m = 0 at m={m}")
-        factor = (a + m) * (m - s) / (cm * (m + 1.0)) * x
-        if factor == 0.0:
-            break
-        log_t += math.log(abs(factor))
-        sign_t *= math.copysign(1.0, factor)
-        # signed log-sum-exp accumulation
-        hi, lo = (log_sum, log_t) if log_sum >= log_t else (log_t, log_sum)
-        s_hi, s_lo = (sign_sum, sign_t) if log_sum >= log_t else (sign_t, sign_sum)
-        mag = 1.0 + s_hi * s_lo * math.exp(lo - hi)
-        if mag <= 0.0:
-            if mag == 0.0:
-                log_sum, sign_sum = -math.inf, 1.0
-                continue
-            log_sum, sign_sum = hi + math.log(-mag), -s_hi
-        else:
-            log_sum, sign_sum = hi + math.log(mag), s_hi
-    return sign_sum * math.exp(log_sum)
-
-
-def hyp2f1_terminating(a: float, s: int, c: float, x: float) -> float:
-    """Terminating hypergeometric sum_{m=0}^{s} (a)_m (-s)_m / ((c)_m m!) x^m.
-
-    Accumulated with Kahan compensation in natural order.  For s > 150 the
-    value is recomputed through a log-magnitude/sign route; a relative
-    disagreement above 1e-8 raises NumericalInstabilityWarning so callers can
-    flag the output.  A vanishing Pochhammer factor (c)_m is a pole and
-    raises ValueError before any division happens.
-    """
-    if s < 0:
-        raise ValueError(f"hyp2f1_terminating requires s >= 0, got {s!r}")
-    total = 0.0
-    comp = 0.0
-    term = 1.0
-    for m in range(s + 1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if m < s:
-            cm = c + m
-            if cm == 0.0:
-                raise ValueError(f"hyp2f1_terminating pole: c + m = 0 at m={m}")
-            term *= (a + m) * (m - s) / (cm * (m + 1.0)) * x
-    if s > 150:
-        check = _hyp2f1_signed_log(a, s, c, x)
-        scale = max(abs(total), abs(check), 1e-300)
-        if abs(total - check) / scale > 1e-8:
-            warnings.warn(
-                f"hyp2f1_terminating strategies disagree at s={s}: "
-                f"{total!r} vs {check!r}",
-                NumericalInstabilityWarning,
-                stacklevel=2,
-            )
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
-"""Compound author-citation law: closed form vs series vs pgf composition.
+"""Compound author-citation law: series vs closed form vs pgf composition.
 
-Three independent evaluation routes exist for P{S = s} (terminating
-hypergeometric, binomial-series convolution, and numeric pgf composition);
-the tests drive all pairs against each other plus frozen hand values.
+The package computes P{S = s} by one route, the binomial-series
+convolution; the tests hold it against two independent ones (the
+terminating-2F1 closed form in `oracles.py` and a numeric pgf composition)
+plus frozen hand values.
 """
 
 import math
-import warnings
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from citechain import author_model as am
 from citechain import specfun as sf
 from citechain import trial_chain as tc
@@ -33,10 +35,22 @@ class TestParams:
 
 
 class TestPmf:
-    def test_zero_citations(self):
-        # every paper of the chain drew zero citations: 1 - (1-q)^p
-        expected = 1.0 - math.sqrt(0.5)
-        assert am.author_pmf(HALF_HALF, 0) == pytest.approx(expected, abs=1e-16)
+    @pytest.mark.parametrize(
+        "q,expected",
+        [
+            # 1 - 2^(-1/2) = 0.29289321881345247560...; 1 - sqrt(0.5) rounds
+            # one ulp low
+            (0.5, 0.2928932188134525),
+            # p q + O(q^2); 1 - (1-q)**p rounds to 0.0 here
+            (1e-300, 0.5 * 1e-300),
+        ],
+    )
+    def test_zero_citations(self, q, expected):
+        # every paper of the chain drew zero citations: 1 - (1-q)^p, correctly
+        # rounded
+        params = AuthorParams(0.5, q)
+        assert am.author_pmf(params, 0) == expected
+        assert am.author_pmf_series(params, 5)[0] == expected
 
     def test_one_citation(self):
         # p * q * (1-q)^p
@@ -48,19 +62,30 @@ class TestPmf:
         with pytest.raises(ValueError):
             am.author_pmf(HALF_HALF, -1)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            am.author_pmf(HALF_HALF, 3, strategy="guess")
+    @pytest.mark.parametrize("q", [1e-2, 1e-4, 1e-6])
+    def test_one_citation_small_q(self, q):
+        # the series cancels as q -> 0 (-p + p(1-q) at s = 1), so its
+        # relative error grows like eps/q; the closed form is p q (1-q)^p
+        p = 0.5
+        expected = p * q * math.exp(p * math.log1p(-q))
+        eps = sys.float_info.epsilon
+        rel = abs(am.author_pmf(AuthorParams(p, q), 1) - expected) / expected
+        assert rel <= max(4 * eps, eps / q)
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
     def test_routes_agree(self, p, q):
-        params = AuthorParams(p, q)
-        series = am.author_pmf_series(params, 150)
+        series = am.author_pmf_series(AuthorParams(p, q), 150)
         for s in range(1, 151):
-            assert am.author_pmf(params, s, strategy="hyp") == pytest.approx(
+            assert oracles.author_pmf_closed(p, q, s) == pytest.approx(
                 float(series[s]), abs=1e-10, rel=1e-8
             )
+
+    def test_pmf_reads_series(self):
+        params = AuthorParams(0.3, 0.7)
+        series = am.author_pmf_series(params, 300)
+        for s in (0, 1, 2, 150, 151, 300):
+            assert am.author_pmf(params, s) == float(series[s])
 
     def test_matches_pgf_composition(self):
         # third route: compose the chain pmf table with the geometric pgf
@@ -100,7 +125,7 @@ class TestPmf:
         st.integers(min_value=0, max_value=400),
     )
     def test_pmf_in_unit_interval(self, p, q, s):
-        value = am.author_pmf(AuthorParams(p, q), s, strategy="series")
+        value = am.author_pmf(AuthorParams(p, q), s)
         assert 0.0 < value < 1.0
 
     def test_heavy_tail_inherits_chain_exponent(self):
@@ -111,29 +136,46 @@ class TestPmf:
         assert measured == pytest.approx(10.0 ** (-1.5), rel=0.02)
 
 
-class TestStrategyCrossCheck:
-    def test_auto_crosschecks_beyond_switch(self, monkeypatch):
-        calls = []
-        real = am._pmf_hyp
+class TestClosedFormOracle:
+    """Hand values for the terminating-2F1 oracle that `test_routes_agree`
+    relies on."""
 
-        def spy(params, s):
-            calls.append(s)
-            return real(params, s)
+    def test_gen_binomial_empty_product(self):
+        assert oracles.gen_binomial(0.37, 0) == 1.0
 
-        monkeypatch.setattr(am, "_pmf_hyp", spy)
-        am.author_pmf(HALF_HALF, 151)
-        assert calls == [151]
+    def test_gen_binomial_single(self):
+        assert oracles.gen_binomial(0.37, 1) == 0.37
 
-    def test_disagreement_warns_and_returns_series(self, monkeypatch):
-        monkeypatch.setattr(am, "_pmf_hyp", lambda params, s: 123.0)
-        with pytest.warns(sf.NumericalInstabilityWarning, match="disagree"):
-            value = am.author_pmf(HALF_HALF, 200)
-        assert value == pytest.approx(am.author_pmf(HALF_HALF, 200, strategy="series"))
+    def test_gen_binomial_half_choose_two(self):
+        assert oracles.gen_binomial(0.5, 2) == -0.125
 
-    def test_no_warning_at_s_200(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sf.NumericalInstabilityWarning)
-            am.author_pmf(HALF_HALF, 200)
+    @given(
+        st.floats(min_value=0.01, max_value=0.99),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_gen_binomial_sign_pattern(self, p, s):
+        assert (-1.0) ** (s + 1) * oracles.gen_binomial(p, s) > 0.0
+
+    def test_hyp2f1_empty_sum(self):
+        assert oracles.hyp2f1_terminating(0.5, 0, -3.7, 0.9) == 1.0
+
+    @given(
+        st.floats(min_value=0.05, max_value=0.95),
+        st.floats(min_value=0.0, max_value=0.99),
+    )
+    def test_hyp2f1_s1_identity(self, p, x):
+        # (a)_1 (-1)_1 / ((c)_1 1!) x with c = a gives exactly -x
+        assert oracles.hyp2f1_terminating(p, 1, p, x) == 1.0 - x
+
+    def test_hyp2f1_exact_three_term(self):
+        # a=0.5, s=2, c=-0.5, x=0.5: 1 + (0.5)(-2)/(-0.5)(0.5) + term2 = 5/4
+        assert oracles.hyp2f1_terminating(0.5, 2, -0.5, 0.5) == pytest.approx(1.25, abs=1e-15)
+
+    def test_closed_form_one_citation(self):
+        # p q (1-q)^p at s = 1
+        assert oracles.author_pmf_closed(0.5, 0.5, 1) == pytest.approx(
+            0.25 * math.sqrt(0.5), rel=1e-15
+        )
 
 
 class TestLaplaceTail:

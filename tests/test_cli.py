@@ -173,16 +173,30 @@ class TestGrowingPmf:
 
 
 class TestAuthorPmf:
+    ARGV = ("author-pmf", "--p", "0.5", "--q", "0.5", "--s-max", "40")
+
     def test_methods_agree(self, capsys):
-        oracle = run_json(capsys, "author-pmf", "--p", "0.5", "--q", "0.5", "--s-max", "40")
-        hyp = run_json(
-            capsys, "author-pmf", "--p", "0.5", "--q", "0.5", "--s-max", "40",
-            "--method", "hyp",
+        # --method is kept for compatibility: both values print the series
+        oracle = run_json(capsys, *self.ARGV)
+        hyp = run_json(capsys, *self.ARGV, "--method", "hyp")
+        assert hyp["payload"] == oracle["payload"]
+        assert hyp["params"]["method"] == "hyp"
+        assert oracle["params"]["method"] == "oracle"
+        assert oracle["payload"]["probabilities"][0] == pytest.approx(1.0 - math.sqrt(0.5))
+        _, oracle_csv, _ = run_cli(capsys, *self.ARGV, "--format", "csv")
+        _, hyp_csv, _ = run_cli(capsys, *self.ARGV, "--method", "hyp", "--format", "csv")
+        assert hyp_csv == oracle_csv
+
+    @pytest.mark.parametrize("method", ["hyp", "oracle"])
+    @pytest.mark.parametrize("fmt", [[], ["--format", "csv"]])
+    def test_negative_s_max_exits_1(self, capsys, method, fmt):
+        code, out, err = run_cli(
+            capsys, "author-pmf", "--p", "0.5", "--q", "0.5", "--s-max", "-1",
+            "--method", method, *fmt,
         )
-        a = oracle["payload"]["probabilities"]
-        b = hyp["payload"]["probabilities"]
-        assert a == pytest.approx(b, abs=1e-12)
-        assert a[0] == pytest.approx(1.0 - math.sqrt(0.5))
+        assert code == 1
+        assert out == ""
+        assert err == "error: s_max must be >= 0, got -1\n"
 
     def test_tail_complement(self, capsys):
         env = run_json(capsys, "author-pmf", "--p", "0.5", "--q", "0.5", "--s-max", "100")

@@ -8,6 +8,9 @@ When an output is meant to change, regenerate the file and say why in
 CHANGES.md:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints the argv of every case whose stdout, stderr or exit code changed
+(or that is new), then the number of unchanged cases.
 """
 
 from __future__ import annotations
@@ -102,9 +105,20 @@ def test_cli_output_matches_golden(argv, golden, in_golden_dir):
     assert got["stdout"] == expected["stdout"]
 
 
+def _changed(old: dict | None, new: dict) -> bool:
+    return old is None or any(old[k] != new[k] for k in ("exit_code", "stdout", "stderr"))
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN_DIR)
     os.environ["COLUMNS"] = "80"
+    previous = {}
+    if GOLDEN_FILE.exists():
+        previous = {" ".join(c["argv"]): c for c in json.loads(GOLDEN_FILE.read_text("utf-8"))}
     golden = [_run(argv) for argv in CASES]
+    changed = [case for case in golden if _changed(previous.get(" ".join(case["argv"])), case)]
+    for case in changed:
+        print("changed:", " ".join(case["argv"]))
+    print(f"unchanged: {len(golden) - len(changed)} of {len(golden)} cases")
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} cases to {GOLDEN_FILE}")

@@ -1,4 +1,4 @@
-"""Analytic h-index law vs explicit-sum oracle vs literal simulation."""
+"""Analytic h-index law vs explicit-sum oracle vs vectorized simulation."""
 
 import math
 import warnings
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from citechain import hirsch, trial_chain
 from citechain.hirsch import HirschMode, HirschParams, SimulationCaps
 
@@ -170,58 +171,10 @@ class TestResolve:
         ],
     )
     def test_hand_cases(self, counts, expected):
-        assert hirsch._resolve(np.asarray(counts, dtype=np.int64)) == expected
+        assert oracles.resolve(np.asarray(counts, dtype=np.int64)) == expected
 
 
 class TestSimulation:
-    def test_scalar_deterministic(self):
-        caps = SimulationCaps(citation_cap=10**4)
-        a = [
-            hirsch.simulate_hirsch(HALF_HALF, np.random.default_rng(41), caps=caps)
-            for _ in range(30)
-        ]
-        b = [
-            hirsch.simulate_hirsch(HALF_HALF, np.random.default_rng(41), caps=caps)
-            for _ in range(30)
-        ]
-        assert a == b
-
-    def test_scalar_frequencies(self):
-        caps = SimulationCaps(citation_cap=10**4)
-        rng = np.random.default_rng(57)
-        draws = [
-            hirsch.simulate_hirsch(HALF_HALF, rng, caps=caps) for _ in range(3000)
-        ]
-        assert any(d is None for d in draws)  # no-event outcomes do occur
-        f0 = sum(1 for d in draws if d == 0) / 3000
-        f1 = sum(1 for d in draws if d == 1) / 3000
-        # sd ~ 0.009; allow 4 sigma
-        assert abs(f0 - 0.5) < 0.037
-        assert abs(f1 - 0.25) < 0.032
-
-    def test_true_h_mode_always_valid(self):
-        caps = SimulationCaps(citation_cap=10**4)
-        rng = np.random.default_rng(3)
-        values = [
-            hirsch.simulate_hirsch(HALF_HALF, rng, mode=HirschMode.TRUE_H, caps=caps)
-            for _ in range(200)
-        ]
-        assert all(isinstance(v, int) and v >= 0 for v in values)
-
-    def test_paper_cap_warning(self):
-        caps = SimulationCaps(paper_cap=1, citation_cap=10**4)
-        rng = np.random.default_rng(2)
-        with pytest.warns(UserWarning, match="paper count"):
-            for _ in range(20):
-                hirsch.simulate_hirsch(HALF_HALF, rng, caps=caps)
-
-    def test_citation_cap_warning(self):
-        caps = SimulationCaps(citation_cap=1)
-        rng = np.random.default_rng(2)
-        with pytest.warns(UserWarning, match="citation cap"):
-            for _ in range(20):
-                hirsch.simulate_hirsch(HALF_HALF, rng, caps=caps)
-
     def test_vector_deterministic_and_valid_semantics(self):
         caps = SimulationCaps(citation_cap=10**4)
         h1, v1 = hirsch.simulate_hirsch_many(
@@ -256,6 +209,43 @@ class TestSimulation:
             freq = float((valid & (h == level)).mean())
             expect = hirsch.hirsch_pmf(HALF_HALF, level)
             assert abs(freq - expect) < 3.0 * math.sqrt(expect * (1 - expect) / n)
+
+    @pytest.mark.parametrize("mode", list(HirschMode))
+    def test_vector_matches_resolve_oracle(self, mode):
+        # replay the seed: the same paper counts, then the same citation
+        # draws in one batch, censored chains counted at the cap; each
+        # author's counts resolved by sorting must give the vectorized index
+        params = HirschParams(0.5, 0.2)
+        caps = SimulationCaps(citation_cap=50)
+        n = 2000
+        h, valid = hirsch.simulate_hirsch_many(
+            params, np.random.default_rng(23), n, mode=mode, caps=caps
+        )
+        rng = np.random.default_rng(23)
+        lengths = rng.geometric(params.q, n) - 1
+        cits, censored = trial_chain.sample_many(
+            trial_chain.TrialChainParams(params.p, 1.0), rng, int(lengths.sum()),
+            caps.citation_cap,
+        )
+        assert censored.any()  # the cap stand-in is exercised
+        cits = np.where(censored, caps.citation_cap, cits)
+        per_author = np.split(cits, np.cumsum(lengths)[:-1])
+        expected = [oracles.resolve(counts) for counts in per_author]
+        np.testing.assert_array_equal(h, [true_h for true_h, _ in expected])
+        if mode is HirschMode.TRUE_H:
+            assert valid.all()
+        else:
+            np.testing.assert_array_equal(valid, [match for _, match in expected])
+            assert not valid.all() and valid.any()
+
+    def test_vector_citation_cap_warning(self):
+        # every paper has at least one citation, so any author with a
+        # paper resolves to h >= 1 = the cap
+        caps = SimulationCaps(citation_cap=1)
+        with pytest.warns(UserWarning, match="citation cap"):
+            hirsch.simulate_hirsch_many(
+                HALF_HALF, np.random.default_rng(2), 20, caps=caps
+            )
 
     def test_vector_paper_cap_warning(self):
         caps = SimulationCaps(paper_cap=2, citation_cap=10**4)

@@ -229,61 +229,6 @@ class TestHarmonicPartialAsymptote:
             sf.harmonic_partial_asymptote(0.5, 1)
 
 
-class TestGenBinomial:
-    def test_empty_product(self):
-        assert sf.gen_binomial(0.37, 0) == 1.0
-
-    def test_single(self):
-        assert sf.gen_binomial(0.37, 1) == 0.37
-
-    def test_half_choose_two(self):
-        assert sf.gen_binomial(0.5, 2) == -0.125
-
-    @given(
-        st.floats(min_value=0.01, max_value=0.99),
-        st.integers(min_value=1, max_value=200),
-    )
-    def test_sign_pattern(self, p, s):
-        assert (-1.0) ** (s + 1) * sf.gen_binomial(p, s) > 0.0
-
-    def test_negative_s(self):
-        with pytest.raises(ValueError):
-            sf.gen_binomial(0.5, -1)
-
-
-class TestHyp2f1Terminating:
-    def test_empty_sum(self):
-        assert sf.hyp2f1_terminating(0.5, 0, -3.7, 0.9) == 1.0
-
-    @given(
-        st.floats(min_value=0.05, max_value=0.95),
-        st.floats(min_value=0.0, max_value=0.99),
-    )
-    def test_s1_identity(self, p, x):
-        # (a)_1 (-1)_1 / ((c)_1 1!) x with c = a gives exactly -x
-        assert sf.hyp2f1_terminating(p, 1, p, x) == 1.0 - x
-
-    def test_exact_three_term(self):
-        # a=0.5, s=2, c=-0.5, x=0.5: 1 + (0.5)(-2)/(-0.5)(0.5) + term2 = 5/4
-        assert sf.hyp2f1_terminating(0.5, 2, -0.5, 0.5) == pytest.approx(1.25, abs=1e-15)
-
-    def test_pole(self):
-        with pytest.raises(ValueError, match="pole"):
-            sf.hyp2f1_terminating(0.5, 2, 0.0, 0.5)
-        with pytest.raises(ValueError, match="pole"):
-            sf.hyp2f1_terminating(0.5, 3, -1.0, 0.5)
-
-    def test_large_s_strategies_agree(self):
-        # the s > 150 cross-check path runs without tripping the warning
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error", sf.NumericalInstabilityWarning)
-            value = sf.hyp2f1_terminating(0.5, 200, 1.5 - 200, 0.5)
-        check = sf._hyp2f1_signed_log(0.5, 200, 1.5 - 200, 0.5)
-        assert value == pytest.approx(check, rel=1e-8)
-
-
 class TestPowerSeries:
     def test_order(self):
         assert sf.PowerSeries(np.array([1.0, 2.0, 3.0])).order == 2
