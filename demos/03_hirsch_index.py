@@ -17,11 +17,21 @@ from citechain.hirsch import HirschMode, HirschParams, SimulationCaps
 
 params = HirschParams(p=0.5, q=0.5)
 
+
+def direct_pmf(h: int, l_max: int) -> float:
+    """P{H = h} = sum_{l >= h} q (1-q)^l C(l, h) A(h)^h (1 - A(h))^(l-h), to l_max."""
+    q, a = params.q, hirsch.at_least_prob(params.p, h)
+    return math.fsum(
+        q * (1.0 - q) ** l * math.comb(l, h) * a**h * (1.0 - a) ** (l - h)
+        for l in range(h, l_max + 1)
+    )
+
+
 print("=== closed form vs direct summation over paper counts ===")
 print("   h   closed form          direct (l_max = 2000)")
 for h in (0, 1, 2, 3, 5, 8):
     closed = hirsch.hirsch_pmf(params, h)
-    direct = hirsch.hirsch_pmf_direct(params, h, l_max=2000)
+    direct = direct_pmf(h, l_max=2000)
     print(f"  {h:>2}   {closed:.15e}  {direct:.15e}")
 print(f"  hand values: pmf(0) = q = 0.5, pmf(1) = 0.25, pmf(2) = 2/27 = {2/27:.15f}")
 

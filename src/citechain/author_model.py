@@ -38,6 +38,10 @@ __all__ = [
     "sample_citations",
 ]
 
+# `author_pmf_series` drops the b coefficients from the first one below this
+_B_FLOOR = 1e-300
+
+
 @dataclass(frozen=True)
 class AuthorParams:
     """p: paper-count tail exponent (0 < p < 1); q: citation geometric parameter."""
@@ -68,17 +72,25 @@ def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
     -p + p(1-q) = -pq, so a coefficient past s = 0 carries a relative error
     of up to about eps/q (at p = 0.5, s = 1: 1.1e-13 at q = 1e-4 and 5.0e-9
     at q = 1e-8).  P{S = 0} = 1 - (1-q)^p is taken in closed form.
+
+    The b series stops before the first b_K below 1e-300, so the product
+    costs O(s_max K), with K about 690 / -ln(1-q).  Since
+    b_{k+1}/b_k < 1-q and |a_s| <= 1, the dropped terms move each
+    coefficient by less than b_K/q < 1e-300/q in absolute terms.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max!r}")
     p, q = params.p, params.q
     a = np.empty(s_max + 1)
-    b = np.empty(s_max + 1)
     a[0] = 1.0
-    b[0] = 1.0
     for s in range(s_max):
         a[s + 1] = a[s] * (s - p) / (s + 1)
-        b[s + 1] = b[s] * (p + s) * (1.0 - q) / (s + 1)
+    b = [1.0]
+    for s in range(s_max):
+        b_next = b[s] * (p + s) * (1.0 - q) / (s + 1)
+        if b_next < _B_FLOOR:
+            break
+        b.append(b_next)
     conv = np.convolve(a, b)[: s_max + 1]
     out = -((1.0 - q) ** p) * conv
     out[0] = -math.expm1(p * math.log1p(-q))

@@ -13,6 +13,9 @@ the format asked for is rendered.  Values held as natural logs that a float
 cannot represent (log below -700 or above 709) are emitted structurally:
 {"log_value": L} objects in JSON and `log:L` cells in CSV.  JSON output is
 strict: a NaN or infinity exits 1 instead of printing an invalid token.
+Table columns are formed and written a block of cells at a time, in the
+exact bytes of `json.dumps(indent=2)` or `csv.writer`; every check runs
+before the first byte, so an error leaves stdout empty.
 
 Exit codes: 0 success, 2 usage error (bad flags), 1 domain or validation
 error (out-of-range parameters, malformed input files).
@@ -22,10 +25,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import re
 import sys
 import warnings
+from collections.abc import Iterator
+
+import numpy as np
 
 from . import author_model, hirsch, scientometrics, streams, trial_chain
 
@@ -34,14 +42,16 @@ __all__ = ["main", "run"]
 # exp underflows below the floor and overflows above the ceiling
 _LOG_FLOOR = -700.0
 _LOG_CEIL = 709.0
+# cells formed and written at a time: memory stays O(block), not O(column)
+_BLOCK = 1 << 16
+# a column's stand-in in the JSON envelope: argv cannot carry a NUL, so no
+# echoed string renders as a slot, and the payload, where slots sit, is last
+_SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')
+_NOT_JSON = "Out of range float values are not JSON compliant"
 
 
 class _Log(float):
     """A value held as its natural log."""
-
-
-class _LogColumn(list):
-    """A column of values held as their natural logs."""
 
 
 class _Rounded(float):
@@ -55,6 +65,57 @@ class _Missing:
     def __init__(self, json_value, csv_text: str):
         self.json_value = json_value
         self.csv_text = csv_text
+
+
+class _Column:
+    """A column of numbers, whose cells are formed a block at a time.
+
+    Log columns hold natural logs and print exp(L) where a float holds it,
+    0.0 at -inf, and {"log_value": L} / `log:L` below -700 or above 709.
+    Where `missing` is set a cell prints `stand_in` instead of its value.
+    CSV prints the other cells with `csv_cell`, JSON with repr.  A NaN, or
+    an infinity other than a log's -inf, is rejected here, before any
+    output.
+    """
+
+    def __init__(self, values, logs=False, missing=None, stand_in=None, csv_cell=repr):
+        self.values = np.asarray(values)
+        self.logs = logs
+        self.missing = missing
+        self.stand_in = stand_in
+        self.csv_cell = csv_cell
+        if self.values.dtype.kind == "f":
+            v = self.values
+            if np.isnan(v).any() or (v == np.inf).any() or (not logs and (v == -np.inf).any()):
+                raise ValueError(_NOT_JSON)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def cells(self, lo: int, hi: int, json_indent: str | None = None) -> list[str]:
+        """The text of cells lo..hi-1: CSV, or JSON for cells on lines
+        indented by `json_indent`."""
+        v = self.values[lo:hi]
+        if json_indent is None:
+            log_form, fmt = "log:%r", self.csv_cell
+        else:
+            log_form = f'{{\n{json_indent}  "log_value": %r\n{json_indent}}}'
+            fmt = repr
+        if self.logs:
+            # math.exp per cell: numpy's exp differs in the last bit on 4.6% of them
+            cells = list(map(float.__repr__, map(math.exp, np.minimum(v, _LOG_CEIL).tolist())))
+            for i in np.flatnonzero(((v < _LOG_FLOOR) & (v > -np.inf)) | (v > _LOG_CEIL)).tolist():
+                cells[i] = log_form % float(v[i])
+        else:
+            cells = list(map(fmt, v.tolist()))
+        if self.missing is not None:
+            if json_indent is None:
+                text = self.stand_in.csv_text
+            else:
+                text = json.dumps(self.stand_in.json_value, indent=2).replace("\n", "\n" + json_indent)
+            for i in np.flatnonzero(self.missing[lo:hi]).tolist():
+                cells[i] = text
+        return cells
 
 
 class _Result:
@@ -84,73 +145,84 @@ def _table(command, params, index, start, log_values,
     the `trailing` rows."""
     return _Result(
         command, params, (index, header), range(start, start + len(log_values)),
-        {key: _LogColumn(log_values)}, trailing, {"start": start},
+        {key: _Column(log_values, logs=True)}, trailing, {"start": start},
     )
 
 
-def _json_log(log_value: float):
-    log_value = float(log_value)  # numpy scalars render as np.float64(...) in repr
-    if log_value == -math.inf:
-        return 0.0
-    if log_value < _LOG_FLOOR or log_value > _LOG_CEIL:
-        return {"log_value": log_value}
-    return math.exp(log_value)
+def _render_json(result: _Result) -> Iterator[str]:
+    """The envelope's text, as `json.dumps(indent=2)` prints it, with each
+    column streamed a block at a time into its slot."""
+    slots = []
 
+    def slot(column, scalar=False):
+        slots.append((column, scalar))
+        return f"\x00{len(slots) - 1}\x00"
 
-def _json_value(value):
-    if isinstance(value, _Log):
-        return _json_log(value)
-    if isinstance(value, _Missing):
-        return value.json_value
-    return value
-
-
-def _render_json(result: _Result) -> str:
     payload = dict(result.extra)
     for key, column in result.columns.items():
-        cell = _json_log if isinstance(column, _LogColumn) else _json_value
-        payload[key] = [cell(v) for v in column]
+        payload[key] = slot(column)
     for key, value in result.trailing.items():
-        payload[key] = _json_value(value)
+        payload[key] = slot(_Column([value], logs=True), True) if isinstance(value, _Log) else value
     envelope = {
         "command": result.command,
         "params": result.params,
         "payload": payload,
         "diagnostics": result.diagnostics,
     }
-    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False)
+    pieces = _SLOT.split(json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False))
+    return _json_text(pieces, slots)
 
 
-def _csv_log(log_value: float) -> str:
-    log_value = float(log_value)
-    if log_value == -math.inf:
-        return "0.0"
-    if log_value < _LOG_FLOOR or log_value > _LOG_CEIL:
-        return f"log:{log_value!r}"
-    return repr(math.exp(log_value))
+def _json_text(pieces: list[str], slots: list) -> Iterator[str]:
+    for i, piece in enumerate(pieces):
+        if i % 2 == 0:
+            yield piece
+            continue
+        line = pieces[i - 1].rpartition("\n")[2]
+        indent = line[: len(line) - len(line.lstrip(" "))]
+        column, scalar = slots[int(piece)]
+        if scalar:
+            yield column.cells(0, 1, indent)[0]
+        elif not len(column):
+            yield "[]"
+        else:
+            item = indent + "  "
+            sep = ",\n" + item
+            for lo in range(0, len(column), _BLOCK):
+                cells = column.cells(lo, min(lo + _BLOCK, len(column)), item)
+                yield (sep if lo else "[\n" + item) + sep.join(cells)
+            yield "\n" + indent + "]"
+    yield "\n"
 
 
 def _csv_value(value):
     if isinstance(value, _Log):
-        return _csv_log(value)
-    if isinstance(value, _Missing):
-        return value.csv_text
+        return _Column([value], logs=True).cells(0, 1)[0]
     if isinstance(value, _Rounded):
         return f"{value:.2f}"
     return value
 
 
-def _render_csv(result: _Result) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(result.header)
-    columns = [
-        map(_csv_log if isinstance(column, _LogColumn) else _csv_value, column)
-        for column in result.columns.values()
-    ]
-    writer.writerows(zip(result.index, *columns))
-    writer.writerows((key, _csv_value(value)) for key, value in result.trailing.items())
-    for message in result.diagnostics["warnings"]:
-        print(f"warning: {message}", file=sys.stderr)
+def _render_csv(result: _Result) -> Iterator[str]:
+    """The header, the columns' rows a block at a time, then the trailing
+    rows."""
+    edges = []
+    for rows in ([result.header], [(k, _csv_value(v)) for k, v in result.trailing.items()]):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        edges.append(text.getvalue())
+    return _csv_text(result, *edges)
+
+
+def _csv_text(result: _Result, head: str, tail: str) -> Iterator[str]:
+    yield head
+    for lo in range(0, len(result.index), _BLOCK):
+        hi = min(lo + _BLOCK, len(result.index))
+        rows = result.index[lo:hi]
+        for column in result.columns.values():
+            rows = [f"{row},{cell}" for row, cell in zip(rows, column.cells(lo, hi))]
+        yield "\n".join(rows) + "\n"
+    yield tail
 
 
 def _log_or_neg_inf(value: float) -> float:
@@ -181,7 +253,7 @@ def _cmd_pmf(a) -> _Result:
     return _table(
         "pmf",
         {"p": a.p, "gamma": a.gamma, "n_max": a.n_max, "conditional": bool(a.conditional)},
-        "n", 1, log_probs.tolist(), tail=_Log(log_tail),
+        "n", 1, log_probs, tail=_Log(log_tail),
     )
 
 
@@ -190,7 +262,7 @@ def _cmd_tail(a) -> _Result:
     log_tails = trial_chain.tail_table(params, a.m_max)
     return _table(
         "tail", {"p": a.p, "gamma": a.gamma, "m_max": a.m_max},
-        "m", 1, log_tails.tolist(), key="tails", header="tail",
+        "m", 1, log_tails, key="tails", header="tail",
     )
 
 
@@ -210,7 +282,7 @@ def _cmd_asym(a) -> _Result:
     # ratio and constant come from the logs: near 1/gamma = 3 they overflow
     return _Result(
         "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"), grid,
-        {"ratios": _LogColumn(log_ratios)},
+        {"ratios": _Column(log_ratios, logs=True)},
         trailing={
             "constant": _Log(log_ratios[-1]),
             "spread": estimate.spread,
@@ -225,7 +297,7 @@ def _cmd_growing_pmf(a) -> _Result:
     table = trial_chain.growing_pmf_table(params, a.n_max)
     return _table(
         "growing-pmf", {"q": a.q, "gamma": a.gamma, "n_max": a.n_max},
-        "n", 1, table.log_probs.tolist(), tail=_Log(table.log_tail),
+        "n", 1, table.log_probs, tail=_Log(table.log_tail),
     )
 
 
@@ -234,16 +306,16 @@ def _cmd_author_pmf(a) -> _Result:
     table = author_model.author_pmf_table(params, a.s_max)
     return _table(
         "author-pmf", {"p": a.p, "q": a.q, "s_max": a.s_max, "method": a.method},
-        "s", 0, table.log_probs.tolist(), tail=_Log(table.log_tail),
+        "s", 0, table.log_probs, tail=_Log(table.log_tail),
     )
 
 
 def _cmd_hirsch_pmf(a) -> _Result:
     params = hirsch.HirschParams(a.p, a.q)
-    log_probs = [hirsch.log_hirsch_pmf(params, h) for h in range(a.h_max + 1)]
+    log_probs, deficit = hirsch.hirsch_pmf_table(params, a.h_max)
     return _table(
         "hirsch-pmf", {"p": a.p, "q": a.q, "h_max": a.h_max}, "h", 0, log_probs,
-        normalization_deficit=hirsch.normalization_deficit(params, a.h_max),
+        normalization_deficit=deficit,
     )
 
 
@@ -281,8 +353,7 @@ def _cmd_sample(a) -> _Result:
         stand_in = _Missing({"censored_at": a.cap}, "censored")
         return _Result(
             "sample", base_params, ("index", "value"), range(a.count),
-            {"values": [stand_in if c else v
-                        for v, c in zip(values.tolist(), censored.tolist())]},
+            {"values": _Column(values, missing=censored, stand_in=stand_in)},
             extra={"censored_count": int(censored.sum())},
             diagnostics=_sample_diagnostics(a, {"censoring_fraction": float(censored.mean())}),
         )
@@ -295,7 +366,7 @@ def _cmd_sample(a) -> _Result:
         papers, citations = author_model.sample_citations(params, rng, a.count, cap=a.cap)
         return _Result(
             "sample", base_params, ("index", "papers", "citations"), range(a.count),
-            {"papers": papers.tolist(), "citations": citations.tolist()},
+            {"papers": _Column(papers), "citations": _Column(citations)},
             diagnostics=_sample_diagnostics(a),
         )
     # hirsch
@@ -308,7 +379,7 @@ def _cmd_sample(a) -> _Result:
     no_match = _Missing(None, "no_match")
     return _Result(
         "sample", base_params, ("index", "h"), range(a.count),
-        {"h": [v if ok else no_match for v, ok in zip(h.tolist(), valid.tolist())]},
+        {"h": _Column(h, missing=~valid, stand_in=no_match)},
         extra={"no_match_count": int((~valid).sum())},
         diagnostics=_sample_diagnostics(a),
     )
@@ -319,8 +390,8 @@ def _cmd_analyze(a) -> _Result:
     rep = scientometrics.report(scientometrics.load_dataset(source))
     return _Result(
         "analyze", {"source": str(source)}, ("field", "value"),
-        (f"kappa_{i}" for i in range(1, len(rep.kappa) + 1)),
-        {"kappa": [_Rounded(k) for k in rep.kappa]},
+        [f"kappa_{i}" for i in range(1, len(rep.kappa) + 1)],
+        {"kappa": _Column(rep.kappa, csv_cell="{:.2f}".format)},
         trailing={
             "h_mean": rep.h_mean,
             "h_sample_sd": _Rounded(rep.h_sample_sd),
@@ -435,17 +506,17 @@ def run(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always")
             result = args.func(args)
         result.diagnostics["warnings"] += [str(w.message) for w in caught]
-        text = _render_json(result) if args.format == "json" else None
+        chunks = (_render_json if args.format == "json" else _render_csv)(result)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    if text is None:
-        _render_csv(result)
-    else:
-        print(text)
+    sys.stdout.writelines(chunks)
+    if args.format == "csv":
+        for message in result.diagnostics["warnings"]:
+            print(f"warning: {message}", file=sys.stderr)
     return 0
 
 

@@ -36,7 +36,7 @@ __all__ = [
     "SimulationCaps",
     "at_least_prob",
     "hirsch_pmf",
-    "hirsch_pmf_direct",
+    "hirsch_pmf_table",
     "log_hirsch_pmf",
     "log_tail_diagnostic",
     "normalization_deficit",
@@ -85,6 +85,9 @@ class SimulationCaps:
 
 
 DEFAULT_CAPS = SimulationCaps()
+
+# first h that `hirsch_pmf_table` evaluates as an array (log_gamma_ratio_array's domain)
+_ARRAY_MIN_H = 30
 
 
 def at_least_prob(p: float, h: int) -> float:
@@ -136,27 +139,6 @@ def log_hirsch_pmf(params: HirschParams, h: int) -> float:
     return math.log(q) - log_denom + h * (log_weighted - log_denom)
 
 
-def hirsch_pmf_direct(params: HirschParams, h: int, l_max: int) -> float:
-    """P{H = h} by summing over the paper count l explicitly.
-
-    P{H = h} = sum_{l >= h} q (1-q)^l C(l, h) A(h)^h (1 - A(h))^(l-h),
-    truncated at l_max.  The closed form `hirsch_pmf` is the geometric-
-    series evaluation of this sum; agreement between the two is the main
-    correctness check on the derivation.
-    """
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
-    if l_max < h:
-        return 0.0
-    q = params.q
-    a = at_least_prob(params.p, h)
-    terms = [
-        q * (1.0 - q) ** l * math.comb(l, h) * a**h * (1.0 - a) ** (l - h)
-        for l in range(h, l_max + 1)
-    ]
-    return math.fsum(terms)
-
-
 def log_tail_diagnostic(
     params: HirschParams, h_grid: tuple[int, ...] | list[int]
 ) -> list[tuple[int, float]]:
@@ -175,16 +157,41 @@ def log_tail_diagnostic(
     return out
 
 
+def hirsch_pmf_table(params: HirschParams, h_max: int) -> tuple[np.ndarray, float]:
+    """(ln P{H = h} for h = 0..h_max, normalization_deficit(params, h_max)).
+
+    Below h = 30 each entry is `log_hirsch_pmf`; from h = 30 on the same
+    formula runs as one array pass on `specfun.log_gamma_ratio_array`, whose
+    numpy log and exp put an entry within a few ulp of the scalar one.  The
+    deficit takes `hirsch_pmf` below h = 30 and the exponentiated table
+    above, where the terms are too small to move its last bit at moderate q.
+    """
+    if h_max < 1:
+        raise ValueError(f"h_max must be >= 1, got {h_max!r}")
+    p, q = params.p, params.q
+    head = min(h_max, _ARRAY_MIN_H - 1)
+    h = np.arange(_ARRAY_MIN_H, h_max + 1, dtype=np.float64)
+    log_weighted = (
+        math.log1p(-q) + specfun.log_gamma_ratio_array(h, p) - specfun.log_gamma(1.0 - p)
+    )
+    log_denom = np.log(q + np.exp(log_weighted))
+    log_probs = np.concatenate((
+        [log_hirsch_pmf(params, k) for k in range(head + 1)],
+        math.log(q) - log_denom + h * (log_weighted - log_denom),
+    ))
+    terms = [hirsch_pmf(params, k) for k in range(1, head + 1)]
+    deficit = 1.0 - q - math.fsum(terms + np.exp(log_probs[_ARRAY_MIN_H:]).tolist())
+    return log_probs, deficit
+
+
 def normalization_deficit(params: HirschParams, h_max: int) -> float:
-    """1 - q - sum_{h=1}^{h_max} P{H = h}.
+    """1 - q - sum_{h=1}^{h_max} P{H = h}, as `hirsch_pmf_table` forms it.
 
     The closed form's h-dependent nu means the pmf need not sum to 1; the
     residual converges to the probability that no h matches the closed
     form's event.  Reported as a diagnostic, not asserted to vanish.
     """
-    if h_max < 1:
-        raise ValueError(f"h_max must be >= 1, got {h_max!r}")
-    return 1.0 - params.q - math.fsum(hirsch_pmf(params, h) for h in range(1, h_max + 1))
+    return hirsch_pmf_table(params, h_max)[1]
 
 
 def simulate_hirsch_many(

@@ -598,9 +598,15 @@ def growing_pmf(params: GrowingChainParams, n: int) -> float:
 
 
 def growing_pmf_table(params: GrowingChainParams, n_max: int) -> PmfTable:
+    """Table of ln P{X = n}, n = 1..n_max, and ln P{X > n_max}.
+
+    The tail ratio P{X >= n+1} / P{X >= n} is exactly q/n^gamma, so
+    ln P{X = n} = ln P{X >= n} + log1p(-q n^-gamma): no difference of two
+    tails, so an entry keeps its digits far below the float range.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     log_tails = np.array([_growing_log_tail(params, m) for m in range(1, n_max + 2)])
-    probs = np.exp(log_tails[:-1]) - np.exp(log_tails[1:])
-    log_probs = np.log(probs, out=np.full(n_max, -np.inf), where=probs > 0.0)
+    n = np.arange(1, n_max + 1, dtype=np.float64)
+    log_probs = log_tails[:-1] + np.log1p(-params.q * n**-params.gamma)
     return PmfTable(start=1, log_probs=log_probs, log_tail=float(log_tails[-1]))

@@ -81,6 +81,22 @@ class TestPmf:
                 float(series[s]), abs=1e-10, rel=1e-8
             )
 
+    @pytest.mark.parametrize("p,q", [(0.5, 0.45), (0.5, 0.3), (0.2, 0.8)])
+    def test_truncated_series_matches_full_convolution(self, p, q):
+        # the b coefficients stop below 1e-300 (after K = 1149, 1925 and 426
+        # terms here); against the product over every term the change is
+        # the summation order only
+        s_max = 3000
+        a = np.empty(s_max + 1)
+        b = np.empty(s_max + 1)
+        a[0] = b[0] = 1.0
+        for s in range(s_max):
+            a[s + 1] = a[s] * (s - p) / (s + 1)
+            b[s + 1] = b[s] * (p + s) * (1.0 - q) / (s + 1)
+        full = -((1.0 - q) ** p) * np.convolve(a, b)[: s_max + 1]
+        series = am.author_pmf_series(AuthorParams(p, q), s_max)
+        np.testing.assert_allclose(series[1:], full[1:], rtol=8 * sys.float_info.epsilon, atol=0)
+
     def test_pmf_reads_series(self):
         params = AuthorParams(0.3, 0.7)
         series = am.author_pmf_series(params, 300)

@@ -221,6 +221,14 @@ class TestHirschPmf:
         )
         assert out.splitlines()[-1].startswith("normalization_deficit,")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_h_max_zero_exits_1(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "hirsch-pmf", "--p", "0.5", "--q", "0.5", "--h-max", "0", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: h_max must be >= 1, got 0\n"
+
 
 class TestSampleCommand:
     def test_trial_deterministic_in_process(self, capsys):

@@ -110,24 +110,55 @@ class TestClosedForm:
         assert 0.0 <= value <= 1.0
 
 
+# the (p, q) pairs where the array table and the scalar are held within 4 ulp;
+# at small q both routes lose digits to the cancellation in ln nu - ln(1 - nu)
+TABLE_PARAMS = [HALF_HALF, HirschParams(0.2, 0.8), HirschParams(0.9, 0.1)]
+
+
+class TestTable:
+    @pytest.mark.parametrize("params", TABLE_PARAMS, ids=repr)
+    def test_matches_scalar_within_4_ulp(self, params):
+        log_probs, _ = hirsch.hirsch_pmf_table(params, 10**5)
+        assert log_probs.shape == (10**5 + 1,)
+        hs = [*range(0, 301), *range(301, 10**5, 97), 10**5]
+        scalar = np.array([hirsch.log_hirsch_pmf(params, h) for h in hs])
+        assert np.all(np.abs(log_probs[hs] - scalar) <= 4 * np.spacing(np.abs(scalar)))
+        # the scalar route stays exact below the array's first h
+        assert np.array_equal(log_probs[:30], scalar[:30])
+
+    @pytest.mark.parametrize("params", TABLE_PARAMS, ids=repr)
+    @pytest.mark.parametrize("h_max", [10, 29, 30, 31, 200, 2000])
+    def test_deficit_equals_scalar_sum(self, params, h_max):
+        scalar = 1.0 - params.q - math.fsum(
+            hirsch.hirsch_pmf(params, h) for h in range(1, h_max + 1))
+        log_probs, deficit = hirsch.hirsch_pmf_table(params, h_max)
+        assert len(log_probs) == h_max + 1
+        assert deficit == scalar
+        assert hirsch.normalization_deficit(params, h_max) == scalar
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="h_max must be >= 1"):
+            hirsch.hirsch_pmf_table(HALF_HALF, 0)
+
+
 class TestDirectSum:
     @pytest.mark.parametrize("h", [0, 1, 2, 5, 10])
     def test_matches_closed_form(self, h):
-        direct = hirsch.hirsch_pmf_direct(HALF_HALF, h, l_max=2000)
+        direct = oracles.hirsch_pmf_direct(HALF_HALF, h, l_max=2000)
         assert direct == pytest.approx(hirsch.hirsch_pmf(HALF_HALF, h), rel=1e-12)
 
     def test_other_corner(self):
         params = HirschParams(0.8, 0.2)
         for h in (0, 1, 3, 7):
-            direct = hirsch.hirsch_pmf_direct(params, h, l_max=4000)
+            direct = oracles.hirsch_pmf_direct(params, h, l_max=4000)
             assert direct == pytest.approx(hirsch.hirsch_pmf(params, h), rel=1e-10)
 
     def test_truncation_below_h_is_zero(self):
-        assert hirsch.hirsch_pmf_direct(HALF_HALF, 5, l_max=4) == 0.0
+        assert oracles.hirsch_pmf_direct(HALF_HALF, 5, l_max=4) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            hirsch.hirsch_pmf_direct(HALF_HALF, -1, l_max=10)
+            oracles.hirsch_pmf_direct(HALF_HALF, -1, l_max=10)
 
 
 class TestDiagnostics:

@@ -686,9 +686,21 @@ class TestGrowingChain:
         table = tc.growing_pmf_table(params, 200)
         assert table.total_mass() == pytest.approx(1.0, abs=1e-13)
         # factorial decay has long since underflowed linear floats here,
-        # but the tail slot still carries the log record
-        assert np.isneginf(table.log_probs[-1])
+        # but the last entry and the tail slot still carry their logs:
+        # P{X = 200} / P{X > 200} = (1 - q/200) / (q/200) = 399
         assert math.isfinite(table.log_tail) and table.log_tail < -900.0
+        assert table.log_probs[-1] == pytest.approx(table.log_tail + math.log(399.0), rel=1e-13)
+
+    @pytest.mark.parametrize("q,gamma", [(0.5, 1.0), (0.3, 0.7), (0.9, 2.0)])
+    def test_table_keeps_deep_logs(self, q, gamma):
+        # ln P{X = n} = (n-1) ln q - gamma ln (n-1)! + log1p(-q n^-gamma),
+        # finite and accurate long after the linear pmf has underflowed
+        table = tc.growing_pmf_table(GrowingChainParams(q, gamma), 2000)
+        n = np.arange(1, 2001)
+        want = np.array([(k - 1) * math.log(q) - gamma * math.lgamma(k)
+                         + math.log1p(-q * k**-gamma) for k in n.tolist()])
+        assert np.isfinite(table.log_probs).all()
+        np.testing.assert_allclose(table.log_probs, want, rtol=1e-13)
 
     def test_domains(self):
         params = GrowingChainParams(0.5, 1.0)
