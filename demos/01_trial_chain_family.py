@@ -10,8 +10,6 @@ shape.
 
 import math
 
-import numpy as np
-
 from citechain import streams, trial_chain
 from citechain.trial_chain import TrialChainParams
 
@@ -45,9 +43,12 @@ params = TrialChainParams(0.5, 0.7)
 est = trial_chain.estimate_constant(params)
 print(f"  pmf(n) ~ C * shape(n) on grid {est.grid}")
 print(f"  C = {est.constant:.10f}   ratio spread = {est.spread:.2e}")
+# 1/gamma < 2, so the shape's exponent sum is the single term
+# p n^(1-gamma)/(1-gamma); flipping its sign adds it twice
 bad = [
     trial_chain.log_pmf(params, n)
-    - trial_chain.log_asym_pmf_shape(params, n, corrected=False)
+    - trial_chain.log_asym_pmf_shape(params, n)
+    - 2.0 * params.p * n ** (1.0 - params.gamma) / (1.0 - params.gamma)
     for n in est.grid
 ]
 print(f"  flipping the exponent sign spreads the log ratio over {max(bad) - min(bad):.1f}")
@@ -67,6 +68,7 @@ print(f"  (the cap stands in for 'never'; compare with the mass above)")
 
 print()
 print("=== sampling is deterministic given a master seed ===")
-rng = streams.derive_streams(42, 1)[0]
-draws = [trial_chain.sample(TrialChainParams(0.5, 1.0), rng) for _ in range(12)]
-print("  twelve draws at (0.5, 1):", [d.n for d in draws])
+draws, _ = trial_chain.sample_many(
+    TrialChainParams(0.5, 1.0), streams.derive_streams(42, 1)[0], 12
+)
+print("  twelve draws at (0.5, 1):", draws.tolist())

@@ -14,16 +14,19 @@ import numpy as np
 
 from citechain import author_model, streams, trial_chain
 from citechain.author_model import AuthorParams
-from citechain.specfun import PowerSeries, series_compose
 
 params = AuthorParams(p=0.5, q=0.5)
 
 print("=== pmf head: series against pgf composition ===")
 p, q = params.p, params.q
 chain = trial_chain.pmf_table(trial_chain.TrialChainParams(p, 1.0), 2000)
-outer = PowerSeries(np.concatenate(([0.0], chain.probs)))
-inner = PowerSeries(q * (1.0 - q) ** np.arange(13, dtype=np.float64))
-composed = series_compose(outer, inner, 12).coeffs
+# coefficients of outer(inner(z)) through z^12 by Horner's rule: the chain
+# pgf outer, the geometric pgf inner
+inner = q * (1.0 - q) ** np.arange(13, dtype=np.float64)
+composed = np.zeros(13)
+for c in np.concatenate(([0.0], chain.probs))[::-1]:
+    composed = np.convolve(composed, inner)[:13]
+    composed[0] += c
 series = author_model.author_pmf_series(params, 12)
 closed = {0: -math.expm1(p * math.log1p(-q)), 1: p * q * (1.0 - q) ** p}
 print("   s   series             pgf composition    closed form")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from citechain import hirsch, streams
-from citechain.hirsch import HirschMode, HirschParams, SimulationCaps
+from citechain.hirsch import HirschMode, HirschParams
 
 params = HirschParams(p=0.5, q=0.5)
 
@@ -44,8 +44,7 @@ print("  the remainder is the chance that no h has exactly h papers at h citatio
 print()
 print("=== simulation, 2e5 authors ===")
 rng = streams.derive_streams(20260814, 1)[0]
-caps = SimulationCaps(citation_cap=10**4)
-h_vals, valid = hirsch.simulate_hirsch_many(params, rng, 200_000, caps=caps)
+h_vals, valid = hirsch.simulate_hirsch_many(params, rng, 200_000, citation_cap=10**4)
 print(f"  no-match share = {float((~valid).mean()):.5f}   (deficit above = {deficit:.5f})")
 print("   h   observed freq   closed form")
 for h in range(5):
@@ -53,7 +52,7 @@ for h in range(5):
     print(f"  {h:>2}   {obs:.6f}       {hirsch.hirsch_pmf(params, h):.6f}")
 true_h, all_valid = hirsch.simulate_hirsch_many(
     params, streams.derive_streams(20260814, 1)[0], 200_000,
-    mode=HirschMode.TRUE_H, caps=caps,
+    mode=HirschMode.TRUE_H, citation_cap=10**4,
 )
 print(f"  TRUE_H mode resolves every draw: valid share = {float(all_valid.mean()):.1f}")
 

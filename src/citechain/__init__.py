@@ -2,11 +2,10 @@
 
 Layout:
 
-- `specfun`: self-contained special functions (log-gamma, zeta,
-  truncated power series) tuned for the ranges the distribution code
-  needs.
+- `specfun`: self-contained special functions (log-gamma and its ratios,
+  zeta) tuned for the ranges the distribution code needs.
 - `trial_chain`: first-success laws with success probability p/k^gamma,
-  their tails, asymptotic shapes, improper mass, samplers, and the
+  their tails, asymptotic shapes, improper mass, the sampler, and the
   growing-probability variant.
 - `author_model`: compound law of total citations for an author whose
   paper count follows the gamma = 1 chain, by one convolution series.
@@ -33,7 +32,6 @@ from .trial_chain import (
     log_tail,
     pmf,
     pmf_table,
-    sample,
     sample_many,
     sibuya_tail_closed,
     tail,
@@ -65,7 +63,6 @@ __all__ = [
     "pmf",
     "pmf_table",
     "report",
-    "sample",
     "sample_many",
     "sibuya_tail_closed",
     "tail",

@@ -28,13 +28,11 @@ from .tables import PmfTable
 
 __all__ = [
     "AuthorParams",
-    "author_log_pmf",
     "author_pmf",
     "author_pmf_series",
     "author_pmf_table",
     "laplace_tail_asym",
     "laplace_tail_exact",
-    "paper_count_params",
     "sample_citations",
 ]
 
@@ -54,11 +52,6 @@ class AuthorParams:
             raise ValueError(f"p must be in (0, 1), got {self.p!r}")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q!r}")
-
-
-def paper_count_params(params: AuthorParams) -> trial_chain.TrialChainParams:
-    """The paper-count law is the gamma = 1 trial chain with parameter p."""
-    return trial_chain.TrialChainParams(p=params.p, gamma=1.0)
 
 
 def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
@@ -103,13 +96,6 @@ def author_pmf(params: AuthorParams, s: int) -> float:
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s!r}")
     return float(author_pmf_series(params, s)[s])
-
-
-def author_log_pmf(params: AuthorParams, s: int) -> float:
-    value = author_pmf(params, s)
-    if value <= 0.0:
-        raise ValueError(f"pmf({s}) evaluated non-positive ({value!r}); out of range")
-    return math.log(value)
 
 
 def author_pmf_table(params: AuthorParams, s_max: int) -> PmfTable:

@@ -371,9 +371,8 @@ def _cmd_sample(a) -> _Result:
         )
     # hirsch
     mode = hirsch.HirschMode.PAPER_EVENT if a.hirsch_mode == "paper" else hirsch.HirschMode.TRUE_H
-    caps = hirsch.SimulationCaps(citation_cap=a.cap)
     h, valid = hirsch.simulate_hirsch_many(
-        hirsch.HirschParams(a.p, a.q), rng, a.count, mode=mode, caps=caps
+        hirsch.HirschParams(a.p, a.q), rng, a.count, mode=mode, citation_cap=a.cap
     )
     base_params["hirsch_mode"] = a.hirsch_mode
     no_match = _Missing(None, "no_match")

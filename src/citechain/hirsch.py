@@ -33,7 +33,6 @@ from . import specfun, trial_chain
 __all__ = [
     "HirschMode",
     "HirschParams",
-    "SimulationCaps",
     "at_least_prob",
     "hirsch_pmf",
     "hirsch_pmf_table",
@@ -72,19 +71,9 @@ class HirschMode(enum.Enum):
     TRUE_H = "true_h"
 
 
-@dataclass(frozen=True)
-class SimulationCaps:
-    """Truncation limits for simulation; defaults never bind in practice."""
-
-    paper_cap: int = 100_000
-    citation_cap: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.paper_cap < 1 or self.citation_cap < 1:
-            raise ValueError("caps must be >= 1")
-
-
-DEFAULT_CAPS = SimulationCaps()
+# paper counts past this are truncated in `simulate_hirsch_many`; never
+# binds in practice
+_PAPER_CAP = 100_000
 
 # first h that `hirsch_pmf_table` evaluates as an array (log_gamma_ratio_array's domain)
 _ARRAY_MIN_H = 30
@@ -97,12 +86,6 @@ def at_least_prob(p: float, h: int) -> float:
     if h == 0:
         return 1.0
     return trial_chain.sibuya_tail_closed(p, h)
-
-
-def _log_at_least_prob(p: float, h: int) -> float:
-    if h <= 1:
-        return 0.0
-    return specfun.log_gamma_ratio(float(h), p) - specfun.log_gamma(1.0 - p)
 
 
 def nu(params: HirschParams, h: int) -> float:
@@ -133,7 +116,7 @@ def log_hirsch_pmf(params: HirschParams, h: int) -> float:
     if h == 0:
         return math.log(params.q)
     q = params.q
-    log_a = _log_at_least_prob(params.p, h)
+    log_a = trial_chain._log_sibuya_tail(params.p, h)
     log_weighted = math.log1p(-q) + log_a
     log_denom = math.log(q + math.exp(log_weighted))
     return math.log(q) - log_denom + h * (log_weighted - log_denom)
@@ -199,36 +182,38 @@ def simulate_hirsch_many(
     rng: np.random.Generator,
     n: int,
     mode: HirschMode = HirschMode.PAPER_EVENT,
-    caps: SimulationCaps = DEFAULT_CAPS,
+    citation_cap: int = trial_chain.DEFAULT_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """n draws of the index: sample L, per-paper citations, resolve h.
 
     Returns (h, valid).  In TRUE_H mode every draw is valid; in PAPER_EVENT
     mode valid[i] is False where draw i matched no h (h[i] is then the true
     index of that draw, provided for diagnostics but not part of the event
-    distribution).  Truncations (paper counts beyond caps.paper_cap, citation
-    chains censored at caps.citation_cap) are flagged with a UserWarning
-    when they could touch the resolved values.
+    distribution).  Truncations (paper counts beyond `_PAPER_CAP`, citation
+    chains censored at `citation_cap`) are flagged with a UserWarning when
+    they could touch the resolved values.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
+    if citation_cap < 1:
+        raise ValueError(f"citation_cap must be >= 1, got {citation_cap!r}")
     lengths = rng.geometric(params.q, size=n).astype(np.int64) - 1
-    if (lengths > caps.paper_cap).any():
+    if (lengths > _PAPER_CAP).any():
         warnings.warn(
-            f"{int((lengths > caps.paper_cap).sum())} draws hit the paper cap "
-            f"{caps.paper_cap}; their indices may be affected",
+            f"{int((lengths > _PAPER_CAP).sum())} draws hit the paper cap "
+            f"{_PAPER_CAP}; their indices may be affected",
             UserWarning,
             stacklevel=2,
         )
-        lengths = np.minimum(lengths, caps.paper_cap)
+        lengths = np.minimum(lengths, _PAPER_CAP)
     total = int(lengths.sum())
     author = np.repeat(np.arange(n, dtype=np.int64), lengths)
     cits, censored = trial_chain.sample_many(
-        trial_chain.TrialChainParams(params.p, 1.0), rng, total, cap=caps.citation_cap
+        trial_chain.TrialChainParams(params.p, 1.0), rng, total, cap=citation_cap
     )
     # a censored chain has at least cap citations; the cap value keeps every
     # comparison against h < cap exact
-    cits = np.where(censored, caps.citation_cap, cits)
+    cits = np.where(censored, citation_cap, cits)
     order = np.lexsort((-cits, author))
     sorted_author = author[order]
     sorted_cits = cits[order]
@@ -236,7 +221,7 @@ def simulate_hirsch_many(
     rank = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
     qualifies = sorted_cits >= rank + 1
     true_h = np.bincount(sorted_author[qualifies], minlength=n)
-    if (true_h >= caps.citation_cap).any():
+    if (true_h >= citation_cap).any():
         warnings.warn(
             "some resolved indices reach the citation cap; values are lower "
             "bounds",

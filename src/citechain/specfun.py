@@ -1,29 +1,23 @@
-"""Self-contained special-function and truncated power-series kernel.
+"""Self-contained special-function kernel.
 
-Log-gamma and its ratios, Riemann zeta, harmonic partial sums, and
-truncated power series with composition.  Everything here is built from
+Log-gamma and its ratios, and Riemann zeta.  Everything here is built from
 elementary functions only, so the rest of the package carries no numerical
 dependencies beyond numpy array arithmetic.  Functions that feed
-probability computations (log_gamma, gamma_ratio, riemann_zeta) are tuned
-for absolute/relative accuracy near 1e-13 in their stated domains.
+probability computations (log_gamma, log_gamma_ratio, riemann_zeta) are
+tuned for absolute/relative accuracy near 1e-13 in their stated domains.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "PowerSeries",
-    "gamma_ratio",
-    "harmonic_partial_asymptote",
     "log_gamma",
     "log_gamma_ratio",
     "log_gamma_ratio_array",
     "riemann_zeta",
-    "series_compose",
 ]
 
 
@@ -166,11 +160,6 @@ def _stirling_ratio(x, p, log1p, log):
     return d
 
 
-def gamma_ratio(m: float, p: float) -> float:
-    """Gamma(m - p) / Gamma(m), accurate to ~1e-13 relative for m up to 1e6."""
-    return math.exp(log_gamma_ratio(m, p))
-
-
 def riemann_zeta(s: float, start: int = 1) -> float:
     """Riemann zeta on (0, 1) and (1, inf) by Euler-Maclaurin summation.
 
@@ -216,78 +205,3 @@ def riemann_zeta(s: float, start: int = 1) -> float:
         raise ValueError(f"riemann_zeta remainder bound {remainder:.2e} too large at s={s!r}")
     return total
 
-
-def harmonic_partial_asymptote(s: float, n: int) -> tuple[float, float]:
-    """(exact, asymptote) for the partial sum sum_{k=1}^{n-1} k^(-s), s in (0,1).
-
-    exact is the compensated direct sum; asymptote is the two-term form
-    n^(1-s)/(1-s) + zeta(s), whose defect is -n^(-s)/2 + O(n^(-s-1)).
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"harmonic_partial_asymptote requires s in (0,1), got {s!r}")
-    if n < 2:
-        raise ValueError(f"harmonic_partial_asymptote requires n >= 2, got {n!r}")
-    ks = np.arange(1, n, dtype=np.float64)
-    exact = math.fsum(ks**-s)
-    asymptote = n ** (1.0 - s) / (1.0 - s) + riemann_zeta(s)
-    return exact, asymptote
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series: coeffs[k] is the coefficient of z^k."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("PowerSeries needs a non-empty 1-d coefficient array")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    def mul(self, other: "PowerSeries", order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        out = np.convolve(self.coeffs, other.coeffs)[: order + 1]
-        if out.size < order + 1:
-            out = np.pad(out, (0, order + 1 - out.size))
-        return PowerSeries(out)
-
-    def validate_pmf_series(self, tol: float = 1e-12) -> None:
-        """Check the coefficients can be read as a (sub-)probability mass table."""
-        c = self.coeffs
-        if (c < -tol).any() or (c > 1.0 + tol).any():
-            raise ValueError("pmf series coefficients must lie in [0, 1]")
-        partial = np.cumsum(c)
-        if (partial > 1.0 + tol).any():
-            raise ValueError("pmf series partial sums exceed 1")
-
-
-def series_compose(outer: PowerSeries, inner: PowerSeries, order: int = 256) -> PowerSeries:
-    """Coefficients of outer(inner(z)) through z^order via truncated Horner.
-
-    The outer series is treated as a polynomial (all its coefficients enter),
-    so the inner constant term may be any value in [0, 1).  The inner series
-    must carry at least `order` coefficients; otherwise the requested order
-    overflows the available information.
-    """
-    if not 0.0 <= inner.coeffs[0] < 1.0:
-        raise ValueError("series_compose requires inner constant term in [0, 1)")
-    if order > inner.order:
-        raise ValueError(
-            f"order overflow: requested {order}, inner series only has order {inner.order}"
-        )
-    result = PowerSeries(np.array([outer.coeffs[-1]]))
-    for c in outer.coeffs[-2::-1]:
-        result = result.mul(inner, order)
-        new = result.coeffs.copy()
-        new[0] += c
-        result = PowerSeries(new)
-    out = result.coeffs
-    if out.size < order + 1:
-        out = np.pad(out, (0, order + 1 - out.size))
-    return PowerSeries(out)

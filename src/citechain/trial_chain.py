@@ -27,17 +27,13 @@ from . import specfun
 from .tables import PmfTable
 
 __all__ = [
-    "Censored",
     "ConstantEstimate",
-    "Finite",
     "GrowingChainParams",
     "Regime",
     "TrialChainParams",
-    "asym_pmf_shape",
     "classify_regime",
     "conditional_pmf",
     "estimate_constant",
-    "evaluate_pgf",
     "growing_pmf",
     "growing_pmf_table",
     "growing_tail",
@@ -47,7 +43,6 @@ __all__ = [
     "log_tail",
     "pmf",
     "pmf_table",
-    "sample",
     "sample_many",
     "sibuya_tail_closed",
     "tail",
@@ -92,16 +87,6 @@ class GrowingChainParams:
         _check_gamma(self.gamma)
 
 
-@dataclass(frozen=True)
-class Finite:
-    n: int
-
-
-@dataclass(frozen=True)
-class Censored:
-    cap: int
-
-
 class Regime(enum.Enum):
     GEOMETRIC = "geometric"
     FRACTIONAL_NON_INTEGER = "fractional_non_integer"
@@ -110,23 +95,22 @@ class Regime(enum.Enum):
     IMPROPER = "improper"
 
 
-def classify_regime(gamma: float, tol: float = _INTEGER_TOL) -> Regime:
+def classify_regime(gamma: float) -> Regime:
     """Asymptotic regime of the chain, keyed on gamma.
 
     Fractional gamma splits on whether 1/gamma is an integer (detected within
-    `tol`), because an integer 1/gamma shifts one exponential correction term
+    1e-9), because an integer 1/gamma shifts one exponential correction term
     into the polynomial prefactor of the large-n shape.
     """
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
-    if abs(gamma) <= tol:
+    _check_gamma(gamma)
+    if gamma <= _INTEGER_TOL:
         return Regime.GEOMETRIC
-    if abs(gamma - 1.0) <= tol:
+    if abs(gamma - 1.0) <= _INTEGER_TOL:
         return Regime.SIBUYA
     if gamma > 1.0:
         return Regime.IMPROPER
     inv = 1.0 / gamma
-    if abs(inv - round(inv)) <= tol:
+    if abs(inv - round(inv)) <= _INTEGER_TOL:
         return Regime.FRACTIONAL_INTEGER
     return Regime.FRACTIONAL_NON_INTEGER
 
@@ -274,11 +258,14 @@ def sibuya_tail_closed(p: float, m: int) -> float:
         raise ValueError(f"p must be in (0, 1), got {p!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
-    if m == 1:
-        return 1.0
-    return math.exp(
-        specfun.log_gamma_ratio(float(m), p) - specfun.log_gamma(1.0 - p)
-    )
+    return math.exp(_log_sibuya_tail(p, m))
+
+
+def _log_sibuya_tail(p: float, m: int) -> float:
+    """ln of `sibuya_tail_closed`, unchecked; 0 for m <= 1."""
+    if m <= 1:
+        return 0.0
+    return specfun.log_gamma_ratio(float(m), p) - specfun.log_gamma(1.0 - p)
 
 
 def improper_mass(params: TrialChainParams) -> float:
@@ -332,7 +319,6 @@ def _fractional_exponent_sum(p: float, gamma: float, n: float, j_max: int) -> fl
 def log_asym_pmf_shape(
     params: TrialChainParams,
     n: int,
-    corrected: bool = True,
     branch: Regime | None = None,
 ) -> float:
     """Log of the large-n shape of the pmf (constant left out), by regime.
@@ -345,9 +331,7 @@ def log_asym_pmf_shape(
     Improper (g>1):   p / n^gamma                          (conditional shape)
 
     gamma = 0 is rejected: that chain is exactly geometric and needs no
-    asymptote.  The exponent sign is the convergent one; `corrected=False`
-    flips it to the divergent variant, kept only so diagnostics can
-    demonstrate that the flipped sign fails to stabilize.  `branch` picks
+    asymptote.  The exponent sign is the convergent one.  `branch` picks
     a fractional branch in place of the one `classify_regime` gives; near
     the integer boundary of 1/gamma, `estimate_constant` evaluates both.
     """
@@ -362,20 +346,15 @@ def log_asym_pmf_shape(
         return math.log(p) - (p + 1.0) * math.log(nf) - specfun.log_gamma(1.0 - p)
     if regime is Regime.IMPROPER:
         return math.log(p) - gamma * math.log(nf)
-    sign = -1.0 if corrected else 1.0
     inv = 1.0 / gamma
     if regime is Regime.FRACTIONAL_INTEGER:
         j_int = round(inv)
         power = gamma + p**j_int / j_int
         ex = _fractional_exponent_sum(p, gamma, nf, j_int - 1)
-        return math.log(p) - power * math.log(nf) + sign * ex
+        return math.log(p) - power * math.log(nf) - ex
     j_floor = math.floor(inv + _INTEGER_TOL)
     ex = _fractional_exponent_sum(p, gamma, nf, j_floor)
-    return math.log(p) - gamma * math.log(nf) + sign * ex
-
-
-def asym_pmf_shape(params: TrialChainParams, n: int, corrected: bool = True) -> float:
-    return math.exp(log_asym_pmf_shape(params, n, corrected))
+    return math.log(p) - gamma * math.log(nf) - ex
 
 
 @dataclass(frozen=True)
@@ -451,23 +430,6 @@ def estimate_constant(
     )
 
 
-def sample(params: TrialChainParams, rng: np.random.Generator, cap: int = DEFAULT_CAP):
-    """One draw: run Bernoulli(p/k^gamma) trials until the first success.
-
-    Returns Finite(k) for the first successful trial index, or Censored(cap)
-    if no success occurred in the first `cap` trials (guaranteed to happen
-    eventually with positive probability when gamma > 1).
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap!r}")
-    p, gamma = params.p, params.gamma
-    for k in range(1, cap + 1):
-        threshold = p if gamma == 0.0 else p / k**gamma
-        if rng.random() < threshold:
-            return Finite(k)
-    return Censored(cap)
-
-
 # first survival-table length that `sample_many` searches
 _SAMPLE_TABLE = 4096
 
@@ -478,7 +440,7 @@ def sample_many(
     n: int,
     cap: int = DEFAULT_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n independent draws of the law of `sample`, by inverse transform.
+    """n first-success draws by inverse transform, censored past `cap` trials.
 
     Draw i takes the i-th uniform U_i of `rng.random(n)` and returns the
     first m with ln P{X > m} < log1p(-U_i), so it depends only on the
@@ -544,21 +506,6 @@ def _sibuya_search(
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return np.where(censored, 0, hi), censored
-
-
-def evaluate_pgf(
-    params: TrialChainParams, z: float, order: int = 512
-) -> tuple[float, float]:
-    """(sum_{n<=order} z^n pmf(n), truncation bound z^order * tail(order+1))."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"z must be in [0, 1], got {z!r}")
-    table = pmf_table(params, order)
-    if z == 0.0:
-        return 0.0, 0.0
-    n = np.arange(1, order + 1, dtype=np.float64)
-    value = float(math.fsum(np.exp(table.log_probs + n * math.log(z))))
-    bound = math.exp(order * math.log(z) + table.log_tail)
-    return value, bound
 
 
 # -- growing chains: success probability 1 - q/k^gamma ----------------------

@@ -3,12 +3,18 @@
 - `author_pmf_closed`: P{S = s} of the compound author law through its
   terminating-2F1 closed form, an evaluation route independent of the
   convolution series in `citechain.author_model`.
+- `compose_pgf`: coefficients of the composed generating function
+  outer(inner(z)), the numeric route to the same compound law.
 - `hirsch_pmf_direct`: P{H = h} by explicit summation over the paper count,
   the sum that `citechain.hirsch`'s closed form evaluates as a geometric
   series.
 - `resolve`: the h-index of one author's citation counts by sorting, the
   definition that the vectorized `hirsch.simulate_hirsch_many` implements
   with segment ranks.
+- `sample`: one trial-chain draw by literal Bernoulli trials, the law that
+  `trial_chain.sample_many` draws by inverse transform.
+- `log_asym_shape_printed`: the fractional-regime large-n shape with the
+  exponent sign as printed (flipped), which fails to stabilize.
 - `render_json`, `render_csv`: a CLI result printed with one
   `json.dumps(indent=2)` call over per-cell Python values, or one
   `csv.writer` over per-cell text, the bytes that the CLI's block-streamed
@@ -24,7 +30,7 @@ import math
 
 import numpy as np
 
-from citechain import cli, hirsch
+from citechain import cli, hirsch, trial_chain
 
 
 def gen_binomial(a: float, s: int) -> float:
@@ -59,6 +65,24 @@ def author_pmf_closed(p: float, q: float, s: int) -> float:
     return (1.0 - q) ** p * sign * gen_binomial(p, s) * hyp2f1_terminating(p, s, 1.0 + p - s, 1.0 - q)
 
 
+def compose_pgf(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
+    """Coefficients of outer(inner(z)) through z^order, by Horner's rule.
+
+    Every coefficient of `outer` enters, so it is treated as a polynomial;
+    `inner` must carry at least order + 1 coefficients and a constant term
+    in [0, 1).
+    """
+    if not 0.0 <= inner[0] < 1.0:
+        raise ValueError("compose_pgf requires inner constant term in [0, 1)")
+    if order >= len(inner):
+        raise ValueError(f"order overflow: requested {order}, inner has {len(inner)} coefficients")
+    out = np.zeros(order + 1)
+    for c in outer[::-1]:
+        out = np.convolve(out, inner[: order + 1])[: order + 1]
+        out[0] += c
+    return out
+
+
 def hirsch_pmf_direct(params: hirsch.HirschParams, h: int, l_max: int) -> float:
     """P{H = h} = sum_{l >= h} q (1-q)^l C(l, h) A(h)^h (1 - A(h))^(l-h),
     truncated at l_max."""
@@ -85,6 +109,40 @@ def resolve(counts: np.ndarray) -> tuple[int, bool]:
     true_h = int(np.count_nonzero(desc >= np.arange(1, desc.size + 1)))
     g = int(np.count_nonzero(counts >= true_h))
     return true_h, g == true_h
+
+
+def sample(params: trial_chain.TrialChainParams, rng: np.random.Generator, cap: int):
+    """One draw: run Bernoulli(p/k^gamma) trials until the first success.
+
+    Returns the first successful trial index, or None if none of the first
+    `cap` trials succeeds.
+    """
+    for k in range(1, cap + 1):
+        if rng.random() < params.p / k**params.gamma:
+            return k
+    return None
+
+
+def log_asym_shape_printed(params: trial_chain.TrialChainParams, n: int) -> float:
+    """`trial_chain.log_asym_pmf_shape` for 0 < gamma < 1 with the sign of the
+    exponent sum flipped to +, as printed:
+
+        ln p - power ln n + sum_{j=1}^{J} (p^j/j) n^(1-gamma j)/(1-gamma j),
+
+    where power = gamma + p^K/K and J = K - 1 if 1/gamma is an integer K,
+    and power = gamma and J = floor(1/gamma) otherwise.
+    """
+    p, gamma = params.p, params.gamma
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"fractional regime needs 0 < gamma < 1, got {gamma!r}")
+    inv = 1.0 / gamma
+    j_int = round(inv)
+    if abs(inv - j_int) <= 1e-9:
+        power, terms = gamma + p**j_int / j_int, j_int - 1
+    else:
+        power, terms = gamma, math.floor(inv)
+    ex = sum(p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j) for j in range(1, terms + 1))
+    return math.log(p) - power * math.log(n) + ex
 
 
 def _log_json(log_value: float):

@@ -22,7 +22,6 @@ import pytest
 
 import oracles
 from citechain import author_model, cli, hirsch, scientometrics as sm, streams, trial_chain
-from citechain.specfun import PowerSeries, series_compose
 
 MASTER_SEED = 20260814
 
@@ -132,8 +131,7 @@ def test_c04_asymptote_sign_certification():
             for n in grid
         ]
         bad = [
-            trial_chain.log_pmf(params, n)
-            - trial_chain.log_asym_pmf_shape(params, n, corrected=False)
+            trial_chain.log_pmf(params, n) - oracles.log_asym_shape_printed(params, n)
             for n in grid
         ]
         top = good[1:]
@@ -185,9 +183,9 @@ def test_c06_compound_oracle_equivalence_and_mc():
         for q in (0.2, 0.5, 0.8):
             ap = author_model.AuthorParams(p, q)
             chain = trial_chain.pmf_table(trial_chain.TrialChainParams(p, 1.0), 3000)
-            outer = PowerSeries(np.concatenate(([0.0], chain.probs)))
-            inner = PowerSeries(q * (1.0 - q) ** np.arange(101, dtype=np.float64))
-            composed = series_compose(outer, inner, 100).coeffs
+            outer = np.concatenate(([0.0], chain.probs))
+            inner = q * (1.0 - q) ** np.arange(101, dtype=np.float64)
+            composed = oracles.compose_pgf(outer, inner, 100)
             for s in range(101):
                 assert abs(author_model.author_pmf(ap, s) - composed[s]) <= 1e-10
 
@@ -236,8 +234,7 @@ def test_c08_hirsch_law():
     # citation_cap = 1e4 keeps every h <= 8 comparison exact (a censored
     # chain still counts as >= any rank threshold in play) while cutting the
     # mean trial count per chain to ~113
-    caps = hirsch.SimulationCaps(citation_cap=10**4)
-    h_vals, valid = hirsch.simulate_hirsch_many(hp, _stream(2), 10**6, caps=caps)
+    h_vals, valid = hirsch.simulate_hirsch_many(hp, _stream(2), 10**6, citation_cap=10**4)
     for h in range(9):
         expected = hirsch.hirsch_pmf(hp, h)
         observed = int(((h_vals == h) & valid).sum())

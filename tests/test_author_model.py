@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import oracles
 from citechain import author_model as am
-from citechain import specfun as sf
 from citechain import trial_chain as tc
 from citechain.author_model import AuthorParams
 
@@ -30,8 +29,14 @@ class TestParams:
             AuthorParams(p, q)
 
     def test_paper_count_params(self):
-        chain = am.paper_count_params(HALF_HALF)
-        assert chain.p == 0.5 and chain.gamma == 1.0
+        # the paper-count law is the gamma = 1 trial chain with parameter p:
+        # sample_citations draws its paper counts first, from the same stream
+        papers, _ = am.sample_citations(HALF_HALF, np.random.default_rng(9), 500)
+        chain, censored = tc.sample_many(
+            tc.TrialChainParams(0.5, 1.0), np.random.default_rng(9), 500
+        )
+        assert not censored.any()
+        np.testing.assert_array_equal(papers, chain)
 
 
 class TestPmf:
@@ -110,18 +115,18 @@ class TestPmf:
         params = AuthorParams(p, q)
         order = 60
         chain_table = tc.pmf_table(tc.TrialChainParams(p, 1.0), 400)
-        outer = sf.PowerSeries(np.concatenate(([0.0], np.exp(chain_table.log_probs))))
-        s_grid = np.arange(0, 401, dtype=np.float64)
-        inner = sf.PowerSeries(q * (1.0 - q) ** s_grid)
-        composed = sf.series_compose(outer, inner, order=order)
+        outer = np.concatenate(([0.0], np.exp(chain_table.log_probs)))
+        inner = q * (1.0 - q) ** np.arange(0, 401, dtype=np.float64)
+        composed = oracles.compose_pgf(outer, inner, order)
         series = am.author_pmf_series(params, order)
         # the truncated outer misses chains longer than 400 papers; their
         # contribution to low coefficients is bounded by the chain tail
         slack = chain_table.tail
-        np.testing.assert_allclose(composed.coeffs[1:], series[1:order + 1], atol=slack + 1e-12)
+        np.testing.assert_allclose(composed[1:], series[1:order + 1], atol=slack + 1e-12)
 
     def test_log_pmf(self):
-        assert am.author_log_pmf(HALF_HALF, 7) == pytest.approx(
+        table = am.author_pmf_table(HALF_HALF, 7)
+        assert table.log_probs[7] == pytest.approx(
             math.log(am.author_pmf(HALF_HALF, 7)), abs=1e-15
         )
 

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from citechain import hirsch, trial_chain
-from citechain.hirsch import HirschMode, HirschParams, SimulationCaps
+from citechain import cli, hirsch, trial_chain
+from citechain.hirsch import HirschMode, HirschParams
 
 HALF_HALF = HirschParams(p=0.5, q=0.5)
 
@@ -31,11 +31,16 @@ class TestParams:
         with pytest.raises(ValueError):
             HirschParams(p, q)
 
-    def test_caps_validation(self):
-        with pytest.raises(ValueError):
-            SimulationCaps(paper_cap=0)
-        with pytest.raises(ValueError):
-            SimulationCaps(citation_cap=0)
+    def test_caps_validation(self, capsys):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="citation_cap"):
+            hirsch.simulate_hirsch_many(HALF_HALF, rng, 10, citation_cap=0)
+        assert rng.bit_generator.state == state  # raised before any draw
+        argv = ["sample", "--model", "hirsch", "--p", "0.5", "--q", "0.5",
+                "--count", "10", "--seed", "1", "--cap", "0"]
+        assert cli.run(argv) == 1
+        assert "citation_cap must be >= 1" in capsys.readouterr().err
 
     def test_mode_round_trip(self):
         assert HirschMode("paper_event") is HirschMode.PAPER_EVENT
@@ -57,7 +62,7 @@ class TestAtLeastProb:
 
     def test_log_route_agrees(self):
         for h in (2, 17, 4000):
-            assert hirsch._log_at_least_prob(0.5, h) == pytest.approx(
+            assert trial_chain._log_sibuya_tail(0.5, h) == pytest.approx(
                 math.log(hirsch.at_least_prob(0.5, h)), abs=1e-13
             )
 
@@ -207,17 +212,17 @@ class TestResolve:
 
 class TestSimulation:
     def test_vector_deterministic_and_valid_semantics(self):
-        caps = SimulationCaps(citation_cap=10**4)
         h1, v1 = hirsch.simulate_hirsch_many(
-            HALF_HALF, np.random.default_rng(7), 2000, caps=caps
+            HALF_HALF, np.random.default_rng(7), 2000, citation_cap=10**4
         )
         h2, v2 = hirsch.simulate_hirsch_many(
-            HALF_HALF, np.random.default_rng(7), 2000, caps=caps
+            HALF_HALF, np.random.default_rng(7), 2000, citation_cap=10**4
         )
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(v1, v2)
         ht, vt = hirsch.simulate_hirsch_many(
-            HALF_HALF, np.random.default_rng(7), 2000, mode=HirschMode.TRUE_H, caps=caps
+            HALF_HALF, np.random.default_rng(7), 2000, mode=HirschMode.TRUE_H,
+            citation_cap=10**4,
         )
         np.testing.assert_array_equal(ht, h1)  # same draws, same true index
         assert vt.all()
@@ -231,9 +236,8 @@ class TestSimulation:
         # the converged deficit, and event frequencies against the closed
         # form at h = 0 and h = 1 (3 sigma each)
         n = 100_000
-        caps = SimulationCaps(citation_cap=10**5)
         rng = np.random.default_rng(np.random.SeedSequence(20260814).spawn(2)[1])
-        h, valid = hirsch.simulate_hirsch_many(HALF_HALF, rng, n, caps=caps)
+        h, valid = hirsch.simulate_hirsch_many(HALF_HALF, rng, n, citation_cap=10**5)
         no_event = float((~valid).mean())
         assert abs(no_event - NO_EVENT_MASS) < 3.0 * math.sqrt(0.158 * 0.842 / n)
         for level in (0, 1, 2):
@@ -247,19 +251,19 @@ class TestSimulation:
         # draws in one batch, censored chains counted at the cap; each
         # author's counts resolved by sorting must give the vectorized index
         params = HirschParams(0.5, 0.2)
-        caps = SimulationCaps(citation_cap=50)
+        cap = 50
         n = 2000
         h, valid = hirsch.simulate_hirsch_many(
-            params, np.random.default_rng(23), n, mode=mode, caps=caps
+            params, np.random.default_rng(23), n, mode=mode, citation_cap=cap
         )
         rng = np.random.default_rng(23)
         lengths = rng.geometric(params.q, n) - 1
         cits, censored = trial_chain.sample_many(
             trial_chain.TrialChainParams(params.p, 1.0), rng, int(lengths.sum()),
-            caps.citation_cap,
+            cap,
         )
         assert censored.any()  # the cap stand-in is exercised
-        cits = np.where(censored, caps.citation_cap, cits)
+        cits = np.where(censored, cap, cits)
         per_author = np.split(cits, np.cumsum(lengths)[:-1])
         expected = [oracles.resolve(counts) for counts in per_author]
         np.testing.assert_array_equal(h, [true_h for true_h, _ in expected])
@@ -272,15 +276,14 @@ class TestSimulation:
     def test_vector_citation_cap_warning(self):
         # every paper has at least one citation, so any author with a
         # paper resolves to h >= 1 = the cap
-        caps = SimulationCaps(citation_cap=1)
         with pytest.warns(UserWarning, match="citation cap"):
             hirsch.simulate_hirsch_many(
-                HALF_HALF, np.random.default_rng(2), 20, caps=caps
+                HALF_HALF, np.random.default_rng(2), 20, citation_cap=1
             )
 
-    def test_vector_paper_cap_warning(self):
-        caps = SimulationCaps(paper_cap=2, citation_cap=10**4)
+    def test_vector_paper_cap_warning(self, monkeypatch):
+        monkeypatch.setattr(hirsch, "_PAPER_CAP", 2)
         with pytest.warns(UserWarning, match="paper cap"):
             hirsch.simulate_hirsch_many(
-                HALF_HALF, np.random.default_rng(5), 500, caps=caps
+                HALF_HALF, np.random.default_rng(5), 500, citation_cap=10**4
             )

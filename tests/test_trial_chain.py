@@ -14,14 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from citechain import trial_chain as tc
-from citechain.trial_chain import (
-    Censored,
-    Finite,
-    GrowingChainParams,
-    Regime,
-    TrialChainParams,
-)
+from citechain.trial_chain import GrowingChainParams, Regime, TrialChainParams
 
 IMPROPER_MASS_HALF_TWO = 0.3581877860132440177  # prod_k (1 - 0.5/k^2), 50-digit
 
@@ -60,11 +55,6 @@ class TestParams:
             GrowingChainParams(0.5, math.inf)
         GrowingChainParams(0.5, 0.0)  # flat growing chain is legal
 
-    def test_outcome_value_semantics(self):
-        assert Finite(3) == Finite(3)
-        assert Finite(3) != Censored(3)
-        assert Censored(10).cap == 10
-
 
 class TestRegime:
     @pytest.mark.parametrize(
@@ -86,6 +76,11 @@ class TestRegime:
     def test_negative_gamma(self):
         with pytest.raises(ValueError):
             tc.classify_regime(-0.5)
+
+    def test_infinite_gamma(self):
+        # TrialChainParams rejects an infinite gamma, and so does the classifier
+        with pytest.raises(ValueError):
+            tc.classify_regime(math.inf)
 
     @given(st.integers(min_value=2, max_value=60))
     def test_integer_reciprocals(self, j):
@@ -379,21 +374,21 @@ class TestConditionalPmf:
 class TestAsymptoticShape:
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
-            tc.asym_pmf_shape(TrialChainParams(0.5, 0.0), 100)
+            tc.log_asym_pmf_shape(TrialChainParams(0.5, 0.0), 100)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
-            tc.asym_pmf_shape(TrialChainParams(0.5, 0.7), 1)
+            tc.log_asym_pmf_shape(TrialChainParams(0.5, 0.7), 1)
 
     def test_sibuya_shape(self):
         params = TrialChainParams(0.5, 1.0)
         n = 10_000
-        ratio = tc.pmf(params, n) / tc.asym_pmf_shape(params, n)
+        ratio = tc.pmf(params, n) / math.exp(tc.log_asym_pmf_shape(params, n))
         assert ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_improper_shape_is_conditional(self):
         params = TrialChainParams(0.5, 2.5)
-        shape = tc.asym_pmf_shape(params, 5000)
+        shape = math.exp(tc.log_asym_pmf_shape(params, 5000))
         assert shape == pytest.approx(0.5 / 5000**2.5, rel=1e-12)
 
     @pytest.mark.parametrize("p,gamma", [(0.5, 0.7), (0.5, 0.5), (0.3, 0.25)])
@@ -401,10 +396,7 @@ class TestAsymptoticShape:
         params = TrialChainParams(p, gamma)
         grid = (1000, 3000, 10_000)
         good = [tc.log_pmf(params, n) - tc.log_asym_pmf_shape(params, n) for n in grid]
-        bad = [
-            tc.log_pmf(params, n) - tc.log_asym_pmf_shape(params, n, corrected=False)
-            for n in grid
-        ]
+        bad = [tc.log_pmf(params, n) - oracles.log_asym_shape_printed(params, n) for n in grid]
         good_range = max(good) - min(good)
         bad_range = max(bad) - min(bad)
         assert math.expm1(good_range) < 0.02
@@ -458,31 +450,33 @@ class TestEstimateConstant:
             tc.estimate_constant(params, grid=(10, 100, 500))
 
 
+def _truncated_pgf(params, z, order=512):
+    """(sum_{n<=order} z^n pmf(n), truncation bound z^order P{X > order})."""
+    table = tc.pmf_table(params, order)
+    value = math.fsum(table.probs * z ** np.arange(1, order + 1))
+    return value, z**order * math.exp(table.log_tail)
+
+
 class TestPgf:
     def test_z_zero(self):
-        assert tc.evaluate_pgf(TrialChainParams(0.5, 0.7), 0.0) == (0.0, 0.0)
-
-    def test_z_domain(self):
-        params = TrialChainParams(0.5, 0.7)
-        for z in (-0.1, 1.5):
-            with pytest.raises(ValueError):
-                tc.evaluate_pgf(params, z)
+        # G(0) = P{X = 0} = 0: the table starts at n = 1
+        assert _truncated_pgf(TrialChainParams(0.5, 0.7), 0.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_z_one_recovers_total_mass(self, gamma):
-        value, bound = tc.evaluate_pgf(TrialChainParams(0.5, gamma), 1.0)
+        value, bound = _truncated_pgf(TrialChainParams(0.5, gamma), 1.0)
         assert value + bound == pytest.approx(1.0, abs=1e-12)
         assert value <= 1.0
 
     def test_sibuya_closed_form(self):
         # G(z) = 1 - (1 - z)^p
-        value, bound = tc.evaluate_pgf(TrialChainParams(0.5, 1.0), 0.75)
+        value, bound = _truncated_pgf(TrialChainParams(0.5, 1.0), 0.75)
         assert abs(value - 0.5) <= bound + 1e-13
         assert bound < 1e-12
 
     def test_geometric_closed_form(self):
         p, z = 0.3, 0.9
-        value, bound = tc.evaluate_pgf(TrialChainParams(p, 0.0), z)
+        value, bound = _truncated_pgf(TrialChainParams(p, 0.0), z)
         closed = p * z / (1.0 - (1.0 - p) * z)
         assert abs(value - closed) <= bound + 1e-13
 
@@ -504,13 +498,46 @@ def _chi2_upper(df):
     return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
 
 
+def _two_sample_chi2(a, b):
+    """(statistic, degrees of freedom) comparing equal-size integer samples.
+
+    Ascending values pool into cells of at least 50 draws of a and b
+    together; a short last cell joins the one before it.
+    """
+    values, counts = np.unique(np.concatenate((a, b)), return_counts=True)
+    starts, held = [0], 0
+    for i, count in enumerate(counts[:-1]):
+        held += count
+        if held >= 50:
+            starts.append(i + 1)
+            held = 0
+    if held + counts[-1] < 50 and len(starts) > 1:
+        starts.pop()
+    edges = values[starts]
+    ca, cb = (np.bincount(np.searchsorted(edges, x, side="right") - 1, minlength=edges.size)
+              for x in (a, b))
+    return float(np.sum((ca - cb) ** 2 / (ca + cb))), edges.size - 1
+
+
 class TestSampling:
+    @pytest.mark.parametrize("gamma,cap", [(0.7, tc.DEFAULT_CAP), (2.0, 5)])
+    def test_matches_literal_sampler(self, gamma, cap):
+        # the literal Bernoulli-trial oracle against the inverse transform;
+        # a censored draw counts as 0, below every trial index, so the
+        # censored share is a cell of its own
+        params = TrialChainParams(0.5, gamma)
+        n = 20_000
+        rng = np.random.default_rng(31)
+        literal = np.array([oracles.sample(params, rng, cap) or 0 for _ in range(n)])
+        values, censored = tc.sample_many(params, np.random.default_rng(32), n, cap=cap)
+        assert (values == 0).tolist() == censored.tolist()
+        assert censored.any() == (literal == 0).any() == (gamma > 1.0)
+        stat, df = _two_sample_chi2(literal, values)
+        assert df >= 5
+        assert stat < _chi2_upper(df)
+
     def test_deterministic(self):
         params = TrialChainParams(0.5, 0.7)
-        a = [tc.sample(params, np.random.default_rng(7)) for _ in range(50)]
-        b = [tc.sample(params, np.random.default_rng(7)) for _ in range(50)]
-        # same generator state stream, one chain each
-        assert a[0] == b[0]
         v1, c1 = tc.sample_many(params, np.random.default_rng(11), 1000)
         v2, c2 = tc.sample_many(params, np.random.default_rng(11), 1000)
         np.testing.assert_array_equal(v1, v2)
@@ -518,28 +545,20 @@ class TestSampling:
 
     def test_high_p_hits_first_trial(self):
         params = TrialChainParams(0.999, 1.0)
-        rng = np.random.default_rng(3)
-        draws = [tc.sample(params, rng) for _ in range(2000)]
-        first = sum(1 for d in draws if d == Finite(1))
-        assert first > 1950  # expect ~1998
+        values, _ = tc.sample_many(params, np.random.default_rng(3), 2000)
+        assert (values == 1).sum() > 1950  # expect ~1998
 
     def test_censoring(self):
         params = TrialChainParams(0.5, 2.0)
-        rng = np.random.default_rng(5)
-        draws = [tc.sample(params, rng, cap=5) for _ in range(400)]
-        censored = [d for d in draws if isinstance(d, Censored)]
-        finites = [d for d in draws if isinstance(d, Finite)]
-        assert censored and finites
-        assert all(d.cap == 5 for d in censored)
-        assert all(1 <= d.n <= 5 for d in finites)
+        values, censored = tc.sample_many(params, np.random.default_rng(5), 400, cap=5)
+        assert censored.any() and not censored.all()
+        assert (values[censored] == 0).all()
+        assert ((values[~censored] >= 1) & (values[~censored] <= 5)).all()
         # P{X >= 6} ~ 0.397; 400 draws give sd ~ 0.024
-        frac = len(censored) / 400
-        assert abs(frac - tc.tail(params, 6)) < 0.1
+        assert abs(censored.mean() - tc.tail(params, 6)) < 0.1
 
     def test_cap_validation(self):
         params = TrialChainParams(0.5, 1.0)
-        with pytest.raises(ValueError):
-            tc.sample(params, np.random.default_rng(0), cap=0)
         with pytest.raises(ValueError):
             tc.sample_many(params, np.random.default_rng(0), 10, cap=0)
         with pytest.raises(ValueError):
