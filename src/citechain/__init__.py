@@ -2,8 +2,8 @@
 
 Layout:
 
-- `specfun`: self-contained special functions (log-gamma and its ratios,
-  zeta) tuned for the ranges the distribution code needs.
+- `specfun`: the log-gamma ratio and Riemann zeta, tuned for the ranges the
+  distribution code needs (log-gamma itself is `math.lgamma`).
 - `trial_chain`: first-success laws with success probability p/k^gamma,
   their tails, asymptotic shapes, improper mass, the sampler, and the
   growing-probability variant.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun, trial_chain
+from . import trial_chain
 
 __all__ = [
     "HirschMode",
@@ -75,7 +75,7 @@ class HirschMode(enum.Enum):
 # binds in practice
 _PAPER_CAP = 100_000
 
-# first h that `hirsch_pmf_table` evaluates as an array (log_gamma_ratio_array's domain)
+# first h that `hirsch_pmf_table` evaluates as an array (log_gamma_ratio's array domain)
 _ARRAY_MIN_H = 30
 
 
@@ -108,18 +108,25 @@ def hirsch_pmf(params: HirschParams, h: int) -> float:
 def log_hirsch_pmf(params: HirschParams, h: int) -> float:
     """ln P{H = h}, stable where nu^h underflows (h in the thousands).
 
-    Uses the exact identities 1 - nu = q / (q + (1-q)A) and
-    nu = (1-q)A / (q + (1-q)A) with A carried in log form.
+    With r = ln((1-q)A/q), the exact identities are ln(1 - nu) =
+    -log1p(e^r) and ln nu = -log1p(e^-r); A is carried in log form.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0:
         return math.log(params.q)
+    return _log_hirsch_terms(params, h, math)
+
+
+def _log_hirsch_terms(params: HirschParams, h, lib):
+    # ln(1 - nu) + h ln nu for h >= 1; a scalar h with lib = math, arrays with
+    # lib = np.  With l = log1p(e^-|r|), ln(1 - nu) = -max(r, 0) - l and
+    # ln nu = min(r, 0) - l: only e^-|r| is formed, so no q in (0, 1) overflows.
     q = params.q
-    log_a = trial_chain._log_sibuya_tail(params.p, h)
-    log_weighted = math.log1p(-q) + log_a
-    log_denom = math.log(q + math.exp(log_weighted))
-    return math.log(q) - log_denom + h * (log_weighted - log_denom)
+    r = lib.log1p(-q) - lib.log(q) + trial_chain._log_sibuya_tail(params.p, h)
+    l = lib.log1p(lib.exp(-abs(r)))
+    r_pos = (r + abs(r)) / 2.0  # max(r, 0), exact
+    return -r_pos - l + h * ((r - r_pos) - l)
 
 
 def log_tail_diagnostic(
@@ -144,23 +151,19 @@ def hirsch_pmf_table(params: HirschParams, h_max: int) -> tuple[np.ndarray, floa
     """(ln P{H = h} for h = 0..h_max, normalization_deficit(params, h_max)).
 
     Below h = 30 each entry is `log_hirsch_pmf`; from h = 30 on the same
-    formula runs as one array pass on `specfun.log_gamma_ratio_array`, whose
-    numpy log and exp put an entry within a few ulp of the scalar one.  The
-    deficit takes `hirsch_pmf` below h = 30 and the exponentiated table
-    above, where the terms are too small to move its last bit at moderate q.
+    formula runs as one array pass, whose numpy log and exp put an entry
+    within a few ulp of the scalar one.  The deficit takes `hirsch_pmf`
+    below h = 30 and the exponentiated table above, where the terms are too
+    small to move its last bit at moderate q.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max!r}")
-    p, q = params.p, params.q
+    q = params.q
     head = min(h_max, _ARRAY_MIN_H - 1)
     h = np.arange(_ARRAY_MIN_H, h_max + 1, dtype=np.float64)
-    log_weighted = (
-        math.log1p(-q) + specfun.log_gamma_ratio_array(h, p) - specfun.log_gamma(1.0 - p)
-    )
-    log_denom = np.log(q + np.exp(log_weighted))
     log_probs = np.concatenate((
         [log_hirsch_pmf(params, k) for k in range(head + 1)],
-        math.log(q) - log_denom + h * (log_weighted - log_denom),
+        _log_hirsch_terms(params, h, np),
     ))
     terms = [hirsch_pmf(params, k) for k in range(1, head + 1)]
     deficit = 1.0 - q - math.fsum(terms + np.exp(log_probs[_ARRAY_MIN_H:]).tolist())

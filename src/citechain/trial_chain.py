@@ -6,9 +6,10 @@ geometric law, gamma = 1 the discrete heavy-tailed law with tail exponent p
 (infinite mean), and gamma > 1 leaves positive probability of never
 succeeding.  A growing variant with p_k = 1 - q / k^gamma is also provided.
 
-All probability accumulation happens in log space (compensated summation of
-log1p terms), so tables remain exact even where the linear-space values
-underflow; see `PmfTable` for the exchange format.
+All probability accumulation happens in log space: one compensated sum of
+the per-trial log failure chances, the survival prefix, serves both chains,
+so tables remain exact even where the linear-space values underflow; see
+`PmfTable` for the exchange format.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ class TrialChainParams:
             raise ValueError(f"p must be in (0, 1), got {self.p!r}")
         _check_gamma(self.gamma)
 
+    def _log_failure(self, k: np.ndarray) -> np.ndarray:
+        """ln(1 - p/k^gamma), the log failure chance at trials k."""
+        if self.gamma == 0.0:
+            return np.full(k.shape, math.log1p(-self.p))
+        return np.log1p(-self.p * k**-self.gamma)
+
+    def _cache_key(self) -> tuple:
+        return (TrialChainParams, self.p, self.gamma)
+
 
 @dataclass(frozen=True)
 class GrowingChainParams:
@@ -85,6 +95,13 @@ class GrowingChainParams:
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must be in (0, 1), got {self.q!r}")
         _check_gamma(self.gamma)
+
+    def _log_failure(self, k: np.ndarray) -> np.ndarray:
+        """ln(q/k^gamma), the log failure chance at trials k."""
+        return math.log(self.q) - self.gamma * np.log(k)
+
+    def _cache_key(self) -> tuple:
+        return (GrowingChainParams, self.q, self.gamma)
 
 
 class Regime(enum.Enum):
@@ -115,15 +132,11 @@ def classify_regime(gamma: float) -> Regime:
     return Regime.FRACTIONAL_NON_INTEGER
 
 
-def _log_one_minus_pk(params: TrialChainParams, k: np.ndarray) -> np.ndarray:
-    if params.gamma == 0.0:
-        return np.full(k.shape, math.log1p(-params.p))
-    return np.log1p(-params.p * k**-params.gamma)
-
+_ChainParams = TrialChainParams | GrowingChainParams
 
 _PREFIX_CHAINS = 32
-# (p, gamma) -> (S[0..n], Neumaier sum, Neumaier compensation), least
-# recently used first
+# params._cache_key() -> (S[0..n], Neumaier sum, Neumaier compensation), least
+# recently used first; a plain tuple, as the dataclass's __hash__ is slow
 _prefix_chains: OrderedDict = OrderedDict()
 _prefix_counts = [0, 0]  # hits, misses
 _prefix_lock = threading.Lock()
@@ -131,14 +144,14 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _extend_prefix(
-    params: TrialChainParams, prefix: np.ndarray, s: float, c: float, n_max: int
+    params: _ChainParams, prefix: np.ndarray, s: float, c: float, n_max: int
 ) -> tuple[np.ndarray, float, float]:
     """Continue the compensated scan that produced `prefix` (ending in the
     state s, c) up to S[n_max]; the result is read-only."""
     start = prefix.size
     k = np.arange(start, n_max + 1, dtype=np.float64)
     tail = []
-    for x in _log_one_minus_pk(params, k).tolist():
+    for x in params._log_failure(k).tolist():
         t = s + x
         if abs(s) >= abs(x):
             c += (s - t) + x
@@ -153,29 +166,32 @@ def _extend_prefix(
     return out, s, c
 
 
-def _log_survival_prefix(p: float, gamma: float, n_max: int) -> np.ndarray:
-    """S[j] = sum_{k<=j} ln(1 - p/k^gamma), j = 0..n_max, compensated.
+def _log_survival_prefix(params: _ChainParams, n_max: int) -> np.ndarray:
+    """S[j] = ln P{X > j} = sum_{k<=j} ln(fail at k), j = 0..n_max, compensated.
+
+    The failure chance at trial k is 1 - p/k^gamma for `TrialChainParams`
+    and q/k^gamma for `GrowingChainParams`.
 
     Neumaier running compensation keeps each prefix accurate to one ulp of
     its own magnitude independent of length, which is what makes the
     telescoping identities below hold at the 1e-12 level for long tables.
 
-    One grow-only scan is kept per (p, gamma), for the 32 most recently used
-    pairs.  A request past its end resumes the scan from the stored Neumaier
-    state, so every S[j] is bit-identical to one long scan whatever the order
-    of requests.  A first request computes exactly n_max terms; a longer one
-    grows the scan to max(n_max, twice its length), so a loop over n costs
-    O(n) in all.  Returns a read-only view of length n_max + 1.
+    One grow-only scan is kept per chain, keyed by its params class and
+    numbers, for the 32 most recently used chains.  A request past its end
+    resumes the scan from the stored Neumaier state, so every S[j] is
+    bit-identical to one long scan whatever the order of requests.  A first
+    request computes exactly n_max terms; a longer one grows the scan to
+    max(n_max, twice its length), so a loop over n costs O(n) in all.
+    Returns a read-only view of length n_max + 1.
     `cache_info()` and `cache_clear()` work as for `functools.lru_cache`.
     """
-    key = (p, gamma)
+    key = params._cache_key()
     with _prefix_lock:
         chain = _prefix_chains.pop(key, None)
         if chain is not None and chain[0].size > n_max:
             _prefix_counts[0] += 1
         else:
             _prefix_counts[1] += 1
-            params = TrialChainParams(p, gamma)
             if chain is None:
                 chain = _extend_prefix(params, np.zeros(1), 0.0, 0.0, n_max)
             else:
@@ -204,7 +220,7 @@ def log_pmf(params: TrialChainParams, n: int) -> float:
     """ln P{X = n} = ln p_n + sum_{k<n} ln(1 - p_k)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    s = float(_log_survival_prefix(params.p, params.gamma, n - 1)[n - 1]) if n > 1 else 0.0
+    s = float(_log_survival_prefix(params, n - 1)[n - 1]) if n > 1 else 0.0
     return math.log(params.p) - params.gamma * math.log(n) + s
 
 
@@ -224,7 +240,7 @@ def log_tail(params: TrialChainParams, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m!r}")
     if m == 1:
         return 0.0
-    return float(_log_survival_prefix(params.p, params.gamma, m - 1)[m - 1])
+    return float(_log_survival_prefix(params, m - 1)[m - 1])
 
 
 def tail(params: TrialChainParams, m: int) -> float:
@@ -239,14 +255,14 @@ def tail_table(params: TrialChainParams, m_max: int) -> np.ndarray:
     """ln P{X >= m} for m = 1..m_max in one pass over the survival prefix."""
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
-    return _log_survival_prefix(params.p, params.gamma, m_max - 1)[:m_max].copy()
+    return _log_survival_prefix(params, m_max - 1)[:m_max].copy()
 
 
 def pmf_table(params: TrialChainParams, n_max: int) -> PmfTable:
     """Table of ln P{X = n} for n = 1..n_max with log tail P{X > n_max}."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    prefix = _log_survival_prefix(params.p, params.gamma, n_max)
+    prefix = _log_survival_prefix(params, n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     log_probs = math.log(params.p) - params.gamma * np.log(n) + prefix[:-1]
     return PmfTable(start=1, log_probs=log_probs, log_tail=float(prefix[-1]))
@@ -261,11 +277,11 @@ def sibuya_tail_closed(p: float, m: int) -> float:
     return math.exp(_log_sibuya_tail(p, m))
 
 
-def _log_sibuya_tail(p: float, m: int) -> float:
-    """ln of `sibuya_tail_closed`, unchecked; 0 for m <= 1."""
-    if m <= 1:
+def _log_sibuya_tail(p: float, m):
+    """ln A(m) of `sibuya_tail_closed`, unchecked: 0 for m <= 1; m may be an array of m >= 30."""
+    if not isinstance(m, np.ndarray) and m <= 1:
         return 0.0
-    return specfun.log_gamma_ratio(float(m), p) - specfun.log_gamma(1.0 - p)
+    return specfun.log_gamma_ratio(m, p) - math.lgamma(1.0 - p)
 
 
 def improper_mass(params: TrialChainParams) -> float:
@@ -343,7 +359,7 @@ def log_asym_pmf_shape(
     if regime is Regime.GEOMETRIC:
         raise ValueError("gamma = 0 is exactly geometric; no asymptotic shape")
     if regime is Regime.SIBUYA:
-        return math.log(p) - (p + 1.0) * math.log(nf) - specfun.log_gamma(1.0 - p)
+        return math.log(p) - (p + 1.0) * math.log(nf) - math.lgamma(1.0 - p)
     if regime is Regime.IMPROPER:
         return math.log(p) - gamma * math.log(nf)
     inv = 1.0 / gamma
@@ -472,7 +488,7 @@ def sample_many(
     todo = np.flatnonzero(~censored)
     size = min(cap, _SAMPLE_TABLE)
     while True:
-        prefix = _log_survival_prefix(p, gamma, size)
+        prefix = _log_survival_prefix(params, size)
         m = np.searchsorted(-prefix, -t[todo], side="right")
         found = m <= size
         values[todo[found]] = m[found]
@@ -492,68 +508,46 @@ def _sibuya_search(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(first m in lo+1..cap with ln P{X > m} < t, censored) at gamma = 1,
     for draws with ln P{X > lo} >= t, by bisection of the closed tail."""
-    log_norm = specfun.log_gamma(1.0 - p)
-
-    def log_survival(m):
-        return specfun.log_gamma_ratio_array(m + 1.0, p) - log_norm
-
-    censored = log_survival(np.float64(cap)) >= t
+    # ln P{X > m} = ln A(m + 1)
+    censored = _log_sibuya_tail(p, cap + 1.0) >= t
     lo = np.full(t.size, lo, dtype=np.int64)
     hi = np.full(t.size, cap, dtype=np.int64)
     while (hi - lo > 1).any():
         mid = lo + (hi - lo) // 2
-        below = log_survival(mid.astype(np.float64)) < t
+        below = _log_sibuya_tail(p, mid + 1.0) < t
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     return np.where(censored, 0, hi), censored
 
 
 # -- growing chains: success probability 1 - q/k^gamma ----------------------
-
-
-def _growing_log_tail(params: GrowingChainParams, m: int) -> float:
-    # P{X >= m} = prod_{k<m} q/k^gamma = q^(m-1) / ((m-1)!)^gamma
-    return (m - 1) * math.log(params.q) - params.gamma * specfun.log_gamma(float(m))
+# Failure at trial k has chance q/k^gamma, so the shared survival prefix holds
+# ln P{X > j} = j ln q - gamma ln j!; a scalar query pays one O(n) scan per chain.
 
 
 def growing_tail(params: GrowingChainParams, m: int) -> float:
-    """P{X >= m} = q^(m-1) / ((m-1)!)^gamma; superexponentially small tails.
-
-    While the tail is comfortably above the underflow floor it is formed as
-    a product of two factors (cheap and one rounding sharper than exp of the
-    full log, which matters for the exactness of small-m hand values); the
-    log path takes over once either factor could underflow on its own.
-    """
+    """P{X >= m} = q^(m-1) / ((m-1)!)^gamma; superexponentially small tails."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
-    log_t = _growing_log_tail(params, m)
-    if log_t > -700.0:
-        return params.q ** (m - 1) * math.exp(
-            -params.gamma * specfun.log_gamma(float(m))
-        )
-    return math.exp(log_t)
+    return math.exp(_log_survival_prefix(params, m - 1)[m - 1])
 
 
 def growing_pmf(params: GrowingChainParams, n: int) -> float:
-    """P{X = n} = q^(n-1)/((n-1)!)^gamma - q^n/(n!)^gamma.
-
-    Evaluated as the tail difference so partial sums telescope exactly.
-    """
+    """P{X = n} = P{X >= n} (1 - q n^-gamma)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return growing_tail(params, n) - growing_tail(params, n + 1)
+    return growing_tail(params, n) * (1.0 - params.q * n**-params.gamma)
 
 
 def growing_pmf_table(params: GrowingChainParams, n_max: int) -> PmfTable:
     """Table of ln P{X = n}, n = 1..n_max, and ln P{X > n_max}.
 
-    The tail ratio P{X >= n+1} / P{X >= n} is exactly q/n^gamma, so
     ln P{X = n} = ln P{X >= n} + log1p(-q n^-gamma): no difference of two
     tails, so an entry keeps its digits far below the float range.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    log_tails = np.array([_growing_log_tail(params, m) for m in range(1, n_max + 2)])
+    prefix = _log_survival_prefix(params, n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    log_probs = log_tails[:-1] + np.log1p(-params.q * n**-params.gamma)
-    return PmfTable(start=1, log_probs=log_probs, log_tail=float(log_tails[-1]))
+    log_probs = prefix[:-1] + np.log1p(-params.q * n**-params.gamma)
+    return PmfTable(start=1, log_probs=log_probs, log_tail=float(prefix[-1]))

@@ -10,13 +10,15 @@ CHANGES.md:
     PYTHONPATH=src python tests/test_cli_golden.py
 
 It prints the argv of every case whose stdout, stderr or exit code changed
-(or that is new), then the number of unchanged cases.
+(or that is new) with the count of its stdout lines that differ, then the
+number of unchanged cases.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -109,6 +111,13 @@ def _changed(old: dict | None, new: dict) -> bool:
     return old is None or any(old[k] != new[k] for k in ("exit_code", "stdout", "stderr"))
 
 
+def _changed_lines(old: dict | None, new: dict) -> str:
+    before = old["stdout"].splitlines() if old else []
+    after = new["stdout"].splitlines()
+    differ = sum(a != b for a, b in itertools.zip_longest(before, after))
+    return f"{differ} of {len(after)} lines"
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN_DIR)
     os.environ["COLUMNS"] = "80"
@@ -118,7 +127,8 @@ if __name__ == "__main__":
     golden = [_run(argv) for argv in CASES]
     changed = [case for case in golden if _changed(previous.get(" ".join(case["argv"])), case)]
     for case in changed:
-        print("changed:", " ".join(case["argv"]))
+        key = " ".join(case["argv"])
+        print(f"changed: {key} ({_changed_lines(previous.get(key), case)})")
     print(f"unchanged: {len(golden) - len(changed)} of {len(golden)} cases")
     GOLDEN_FILE.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(golden)} cases to {GOLDEN_FILE}")

@@ -105,6 +105,33 @@ class TestClosedForm:
         per_h = [hirsch.log_hirsch_pmf(HALF_HALF, h) / h for h in range(50, 201, 25)]
         assert all(a > b for a, b in zip(per_h, per_h[1:]))
 
+    @pytest.mark.parametrize(
+        "p,q,h", [(0.05, 0.02, 7717), (0.05, 0.02, 99999), (0.1, 0.001, 1000)]
+    )
+    def test_log_small_q_against_mpmath(self, p, q, h):
+        # at small q, (1-q)A/q is large and ln nu is close to 0; forming
+        # ln nu and ln(1 - nu) as log1p terms keeps them within 4 ulp
+        mpmath = pytest.importorskip("mpmath")
+        params = HirschParams(p, q)
+        with mpmath.workdps(40):
+            pm, qm = mpmath.mpf(p), mpmath.mpf(q)
+            a = mpmath.exp(mpmath.loggamma(h - pm) - mpmath.loggamma(h) - mpmath.loggamma(1 - pm))
+            nu = (1 - qm) * a / (qm + (1 - qm) * a)
+            ref = float(mpmath.log(1 - nu) + h * mpmath.log(nu))
+        assert abs(hirsch.log_hirsch_pmf(params, h) - ref) <= 4 * math.ulp(ref)
+        log_probs, _ = hirsch.hirsch_pmf_table(params, h)
+        assert abs(log_probs[h] - ref) <= 4 * math.ulp(ref)
+
+    @pytest.mark.parametrize("q", [1e-300, 5e-324])
+    def test_log_finite_at_tiny_q(self, q):
+        params = HirschParams(0.5, q)
+        for h in (1, 2, 29, 30, 1000):
+            assert math.isfinite(hirsch.log_hirsch_pmf(params, h))
+        log_probs, _ = hirsch.hirsch_pmf_table(params, 1000)
+        assert np.isfinite(log_probs).all()
+        # nu is within a rounding of 1, so ln P{H = 1} = ln(1 - nu(1)) = ln q
+        assert hirsch.log_hirsch_pmf(params, 1) == pytest.approx(math.log(q), rel=1e-15)
+
     @given(
         st.floats(min_value=0.1, max_value=0.9),
         st.floats(min_value=0.1, max_value=0.9),
@@ -115,8 +142,8 @@ class TestClosedForm:
         assert 0.0 <= value <= 1.0
 
 
-# the (p, q) pairs where the array table and the scalar are held within 4 ulp;
-# at small q both routes lose digits to the cancellation in ln nu - ln(1 - nu)
+# (p, q) pairs where the array table is held within 4 ulp of the scalar;
+# `TestClosedForm.test_log_small_q_against_mpmath` holds both at small q
 TABLE_PARAMS = [HALF_HALF, HirschParams(0.2, 0.8), HirschParams(0.9, 0.1)]
 
 

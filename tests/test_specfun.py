@@ -1,10 +1,11 @@
 """Special-function kernel checks against independent oracles.
 
-Oracle sources: math.lgamma (libm, an implementation independent of the
-package's Lanczos route), frozen high-precision constants (50-digit
-arithmetic, evaluated once and inlined as literals), closed forms, and
-brute-force summation.  The generating-function composition oracle of
-`oracles.py` is checked here as well.
+Oracle sources: 40-digit mpmath log-gamma, which checks both routes of the
+log-gamma ratio (`math.lgamma` below m = 30, the Stirling difference from
+there on); frozen high-precision constants (50-digit arithmetic, evaluated
+once and inlined as literals); closed forms; and brute-force summation.  The
+generating-function composition oracle of `oracles.py` is checked here as
+well.
 """
 
 import math
@@ -18,11 +19,6 @@ import oracles
 from citechain import specfun as sf
 
 # frozen 50-digit-arithmetic reference values
-LGAMMA_HALF = 0.57236494292470008707
-LGAMMA_TENTH = 2.2527126517342059599
-LGAMMA_123456 = 469.60554712992946873
-LGAMMA_1E_3 = 6.9071788853838536825
-LGAMMA_1E6 = 12815504.569147611660
 ZETA_HALF = -1.4603545088095868129
 ZETA_03 = -0.90455925725398399
 ZETA_15 = 2.6123753486854883433
@@ -32,84 +28,6 @@ ZETA_4 = 1.0823232337111381915
 ZETA_10 = 1.0009945751278181
 GAMMA_15 = 0.88622692545275801365  # Gamma(1.5)
 GAMMA_RATIO_1E6 = 0.0010000003750001953126  # Gamma(1e6 - 0.5)/Gamma(1e6)
-
-
-class TestLogGamma:
-    def test_one_is_zero(self):
-        assert sf.log_gamma(1.0) == 0.0
-
-    def test_factorial(self):
-        assert sf.log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-14)
-
-    def test_half(self):
-        assert sf.log_gamma(0.5) == pytest.approx(LGAMMA_HALF, abs=1e-15)
-
-    @pytest.mark.parametrize(
-        "x,expected",
-        [
-            (0.001, LGAMMA_1E_3),
-            (0.1, LGAMMA_TENTH),
-            (123.456, LGAMMA_123456),
-            (1e6, LGAMMA_1E6),
-        ],
-    )
-    def test_frozen_references(self, x, expected):
-        # absolute 1e-12 where the output magnitude permits; elsewhere the
-        # value is within a few ulp of the reference (quantization floor)
-        tol = max(1e-12, 4.0 * math.ulp(expected))
-        assert sf.log_gamma(x) == pytest.approx(expected, abs=tol)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_domain_error(self, x):
-        with pytest.raises(ValueError):
-            sf.log_gamma(x)
-
-    @given(st.floats(min_value=1e-3, max_value=750.0))
-    def test_against_libm_small_magnitude(self, x):
-        assert abs(sf.log_gamma(x) - math.lgamma(x)) <= max(
-            1e-12, 4.0 * math.ulp(abs(math.lgamma(x)))
-        )
-
-    @given(st.floats(min_value=750.0, max_value=1e6))
-    def test_against_libm_large(self, x):
-        # both routes carry a couple ulp each at this magnitude
-        ref = math.lgamma(x)
-        assert abs(sf.log_gamma(x) - ref) <= 8.0 * math.ulp(ref)
-
-    @given(st.floats(min_value=0.1, max_value=2000.0))
-    def test_recurrence_strict(self, x):
-        defect = sf.log_gamma(x + 1.0) - sf.log_gamma(x) - math.log(x)
-        assert abs(defect) <= 1e-11
-
-    @given(st.floats(min_value=2000.0, max_value=1e4))
-    def test_recurrence_quantization_aware(self, x):
-        # near x = 1e4 the identity's operands reach ~8e4 where 1 ulp is
-        # 1.16e-11, so the certifiable bound is a few ulp, not 1e-11
-        value = sf.log_gamma(x + 1.0)
-        defect = value - sf.log_gamma(x) - math.log(x)
-        assert abs(defect) <= max(1e-11, 4.0 * math.ulp(value))
-
-    def test_recurrence_at_lanczos_counterexample(self):
-        # the Lanczos sum alone gave a defect of -1.465e-11 here, above the
-        # 4-ulp bound of 1.455e-11
-        x = 3989.101519862594
-        value = sf.log_gamma(x + 1.0)
-        defect = value - sf.log_gamma(x) - math.log(x)
-        assert abs(defect) <= 4.0 * math.ulp(value)
-
-    @pytest.mark.parametrize(
-        "x", [256.0, 300.5, 3989.101519862594, 1e4 + 0.25, 123456.789, 1e9 + 0.5, 2.0**60, 1e300]
-    )
-    def test_stirling_route_within_one_ulp(self, x):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            ref = mpmath.loggamma(mpmath.mpf(x))
-            err = abs(mpmath.mpf(sf.log_gamma(x)) - ref)
-        assert err <= math.ulp(float(ref))
-
-    def test_overflow_and_infinity(self):
-        assert sf.log_gamma(1e306) == math.inf
-        assert sf.log_gamma(math.inf) == math.inf
 
 
 class TestGammaRatio:
@@ -147,8 +65,31 @@ class TestGammaRatio:
     def test_stirling_branch_continuity(self):
         # the two internal routes agree where they hand over
         for m in (29.5, 30.0, 30.5, 31.0):
-            direct = sf.log_gamma(m - 0.37) - sf.log_gamma(m)
+            direct = math.lgamma(m - 0.37) - math.lgamma(m)
             assert sf.log_gamma_ratio(m, 0.37) == pytest.approx(direct, abs=1e-13)
+
+    @pytest.mark.parametrize("p", [0.01, 0.37, 0.5, 0.99])
+    def test_lgamma_route_against_mpmath(self, p):
+        # below m = 30 the ratio is a difference of two math.lgamma values
+        mpmath = pytest.importorskip("mpmath")
+        ms = [1.0, 1.25, 2.0, 2.5, 3.7, 7.0, 12.3, 19.0, 25.5, 29.0, 29.999]
+        with mpmath.workdps(40):
+            for m in ms:
+                ref = mpmath.loggamma(mpmath.mpf(m) - mpmath.mpf(p)) - mpmath.loggamma(m)
+                assert abs(mpmath.mpf(sf.log_gamma_ratio(m, p)) - ref) <= 5e-14, m
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_array_matches_scalar_within_2_ulp(self, p):
+        m = np.concatenate((np.arange(30.0, 200.0), np.geomspace(200.0, 1e12, 300)))
+        got = sf.log_gamma_ratio(m, p)
+        want = np.array([sf.log_gamma_ratio(float(x), p) for x in m])
+        assert got.shape == m.shape
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("low", [29.999, 1.0, 0.5])
+    def test_array_below_30_raises(self, low):
+        with pytest.raises(ValueError, match="every array m >= 30"):
+            sf.log_gamma_ratio(np.array([30.0, 1e3, low]), 0.5)
 
 
 class TestRiemannZeta:

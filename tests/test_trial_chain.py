@@ -182,6 +182,8 @@ def _cold(fn, *args):
 
 
 PREFIX_CHAINS = [(0.5, 0.7), (0.3, 1.0), (0.8, 1.5), (0.6, 2.5)]
+# growing (q, gamma) chains whose tails stay above the float floor to n = 120
+GROWING_PREFIX_CHAINS = [(0.5, 1.0), (0.9, 0.5), (0.3, 0.7), (0.8, 0.0)]
 
 
 class TestSurvivalPrefixCache:
@@ -204,6 +206,42 @@ class TestSurvivalPrefixCache:
         cold = [(_cold(tc.log_pmf, params, n), _cold(tc.log_tail, params, n)) for n in ns]
         assert warm == cold
 
+    @pytest.mark.parametrize("q,gamma", GROWING_PREFIX_CHAINS)
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "scattered"])
+    def test_growing_bit_identical_whatever_the_order(self, q, gamma, order):
+        # a cold table of n rows ends in ln P{X > n} = ln P{X >= n + 1}
+        params = GrowingChainParams(q, gamma)
+        ns = list(range(1, 121))
+        if order == "decreasing":
+            ns.reverse()
+        elif order == "scattered":
+            np.random.default_rng(7).shuffle(ns)
+        warm = [(tc.growing_tail(params, n + 1), tc.growing_pmf(params, n)) for n in ns]
+        cold = [
+            (
+                math.exp(_cold(tc.growing_pmf_table, params, n).log_tail),
+                _cold(tc.growing_pmf, params, n),
+            )
+            for n in ns
+        ]
+        assert warm == cold
+        assert all(t > 0.0 for t, _ in warm)
+
+    def test_trial_and_growing_chains_keep_separate_entries(self):
+        # equal numbers, different laws: 1 - 0.5/k against 0.5/k per trial
+        trial, growing = TrialChainParams(0.5, 1.0), GrowingChainParams(0.5, 1.0)
+        want_trial = _cold(tc.log_tail, trial, 60)
+        want_growing = _cold(tc.growing_tail, growing, 60)
+        tc._log_survival_prefix.cache_clear()
+        assert tc.log_tail(trial, 60) == want_trial
+        assert tc.growing_tail(growing, 60) == want_growing
+        assert tc.log_tail(trial, 30) == _cold(tc.log_tail, trial, 30)
+        tc._log_survival_prefix.cache_clear()
+        assert tc.growing_tail(growing, 60) == want_growing
+        assert tc.log_tail(trial, 60) == want_trial
+        info = tc._log_survival_prefix.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
     @pytest.mark.parametrize("p,gamma", PREFIX_CHAINS)
     def test_tables_bit_identical_before_and_after_scalars(self, p, gamma):
         params = TrialChainParams(p, gamma)
@@ -221,10 +259,10 @@ class TestSurvivalPrefixCache:
         assert tc.tail_table(params, 1500).tobytes() == want_tails
 
     def test_views_are_read_only(self):
-        first = tc._log_survival_prefix(0.5, 1.0, 10)
-        grown = tc._log_survival_prefix(0.5, 1.0, 100)
+        first = tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 10)
+        grown = tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 100)
         assert first.shape == (11,) and grown.shape == (101,)
-        for view in (first, grown, tc._log_survival_prefix(0.5, 1.0, 5)):
+        for view in (first, grown, tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 5)):
             assert not view.flags.writeable
             with pytest.raises(ValueError):
                 view[0] = 1.0
@@ -232,7 +270,7 @@ class TestSurvivalPrefixCache:
         # tail_table hands out its own copy
         table = tc.tail_table(TrialChainParams(0.5, 1.0), 10)
         table[0] = 1.0
-        assert tc._log_survival_prefix(0.5, 1.0, 9)[0] == 0.0
+        assert tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 9)[0] == 0.0
 
     def test_loop_over_n_misses_logarithmically(self):
         params = TrialChainParams(0.5, 0.7)
@@ -273,6 +311,23 @@ class TestSibuyaClosedForm:
     def test_matches_product_route(self, p, m):
         params = TrialChainParams(p, 1.0)
         assert tc.sibuya_tail_closed(p, m) == pytest.approx(tc.tail(params, m), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99])
+    def test_against_mpmath_below_30(self, p):
+        # below m = 30 every factor is a math.lgamma value
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            pm = mpmath.mpf(p)
+            for m in range(1, 30):
+                ref = mpmath.loggamma(m - pm) - mpmath.loggamma(m) - mpmath.loggamma(1 - pm)
+                assert abs(mpmath.mpf(tc._log_sibuya_tail(p, m)) - ref) <= 5e-14, m
+                closed = mpmath.mpf(tc.sibuya_tail_closed(p, m))
+                assert abs(closed - mpmath.exp(ref)) <= 5e-14, m
+
+    def test_log_tail_takes_arrays(self):
+        m = np.arange(30.0, 5000.0, 7.0)
+        want = [tc._log_sibuya_tail(0.3, float(x)) for x in m]
+        np.testing.assert_allclose(tc._log_sibuya_tail(0.3, m), want, rtol=1e-15)
 
     def test_domains(self):
         with pytest.raises(ValueError):
@@ -595,7 +650,7 @@ class TestSampling:
         # gamma = 1, a grown table otherwise) against one search of the
         # whole survival prefix up to the cap
         cap = 2**17
-        full = tc._log_survival_prefix(p, gamma, cap)
+        full = tc._log_survival_prefix(TrialChainParams(p, gamma), cap)
         targets = np.linspace(full[-1] - 1.0, full[1000], 20_000)
         u = np.concatenate(
             ([0.0], np.random.default_rng(23).random(20_000), -np.expm1(targets))
@@ -651,13 +706,14 @@ class TestSampling:
         assert (values[~censored] == 1).all()
         mass = tc.improper_mass(params)
         assert abs(censored.mean() - mass) < 5.0 * math.sqrt(mass * (1.0 - mass) / 1e5)
-        assert tc._prefix_chains[(0.5, gamma)][0].size == tc._SAMPLE_TABLE + 1
+        assert tc._prefix_chains[params._cache_key()][0].size == tc._SAMPLE_TABLE + 1
 
     def test_table_grows_only_past_its_end(self):
         tc._log_survival_prefix.cache_clear()
-        values, _ = tc.sample_many(TrialChainParams(0.5, 0.7), np.random.default_rng(4), 100_000)
+        params = TrialChainParams(0.5, 0.7)
+        values, _ = tc.sample_many(params, np.random.default_rng(4), 100_000)
         assert values.max() < tc._SAMPLE_TABLE
-        assert tc._prefix_chains[(0.5, 0.7)][0].size == tc._SAMPLE_TABLE + 1
+        assert tc._prefix_chains[params._cache_key()][0].size == tc._SAMPLE_TABLE + 1
 
     @pytest.mark.parametrize("p,gamma", [(0.5, 0.5), (0.5, 1.0), (0.5, 2.0), (0.3, 0.0)])
     def test_chi_square_against_pmf(self, p, gamma):
@@ -720,6 +776,17 @@ class TestGrowingChain:
                          + math.log1p(-q * k**-gamma) for k in n.tolist()])
         assert np.isfinite(table.log_probs).all()
         np.testing.assert_allclose(table.log_probs, want, rtol=1e-13)
+
+    def test_table_is_one_prefix_scan(self, monkeypatch):
+        # the tails come from the shared survival prefix, not from log-gamma
+        def no_lgamma(x):
+            raise AssertionError("log-gamma called")
+
+        monkeypatch.setattr(math, "lgamma", no_lgamma)
+        tc._log_survival_prefix.cache_clear()
+        table = tc.growing_pmf_table(GrowingChainParams(0.5, 1.0), 10**5)
+        assert tc._log_survival_prefix.cache_info()[:2] == (0, 1)
+        assert np.isfinite(table.log_probs).all()
 
     def test_domains(self):
         params = GrowingChainParams(0.5, 1.0)
