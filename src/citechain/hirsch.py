@@ -4,8 +4,8 @@ Model: an author has L papers with P{L = l} = q (1-q)^l (geometric on
 {0, 1, ...}), and each paper independently accumulates citations with the
 heavy-tailed trial-chain law at gamma = 1 and parameter p, so a paper has
 at least h >= 1 citations with probability A(h) = Gamma(h-p) / (Gamma(h)
-Gamma(1-p)).  The index H is the largest h such that at least h papers
-have h or more citations each.
+Gamma(1-p)), read in log form from its survival prefix.  The index H is
+the largest h such that at least h papers have h or more citations each.
 
 Conditioning on L and summing the binomial count of qualifying papers
 gives the closed form
@@ -39,7 +39,6 @@ __all__ = [
     "log_hirsch_pmf",
     "log_tail_diagnostic",
     "normalization_deficit",
-    "nu",
     "simulate_hirsch_many",
 ]
 
@@ -75,9 +74,6 @@ class HirschMode(enum.Enum):
 # binds in practice
 _PAPER_CAP = 100_000
 
-# first h that `hirsch_pmf_table` evaluates as an array (log_gamma_ratio's array domain)
-_ARRAY_MIN_H = 30
-
 
 def at_least_prob(p: float, h: int) -> float:
     """A(h) = P{a paper has >= h citations}; A(0) = 1, A(1) = 1."""
@@ -88,44 +84,32 @@ def at_least_prob(p: float, h: int) -> float:
     return trial_chain.sibuya_tail_closed(p, h)
 
 
-def nu(params: HirschParams, h: int) -> float:
-    """Success ratio of the conditional geometric: (1-q)A(h) / (q + (1-q)A(h))."""
-    a = at_least_prob(params.p, h)
-    weighted = (1.0 - params.q) * a
-    return weighted / (params.q + weighted)
-
-
 def hirsch_pmf(params: HirschParams, h: int) -> float:
-    """P{H = h}: q at h = 0, else (1 - nu(h)) nu(h)^h."""
-    if h < 0:
-        raise ValueError(f"h must be >= 0, got {h!r}")
-    if h == 0:
-        return params.q
-    v = nu(params, h)
-    return (1.0 - v) * v**h
+    """P{H = h}: exactly q at h = 0, else exp(`log_hirsch_pmf`)."""
+    log_prob = log_hirsch_pmf(params, h)
+    return params.q if h == 0 else math.exp(log_prob)
 
 
 def log_hirsch_pmf(params: HirschParams, h: int) -> float:
     """ln P{H = h}, stable where nu^h underflows (h in the thousands).
 
-    With r = ln((1-q)A/q), the exact identities are ln(1 - nu) =
-    -log1p(e^r) and ln nu = -log1p(e^-r); A is carried in log form.
+    Bit-identical to entry h of `hirsch_pmf_table`; costs one O(h) scan per p.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0:
         return math.log(params.q)
-    return _log_hirsch_terms(params, h, math)
+    log_a = trial_chain.log_tail(trial_chain.TrialChainParams(params.p, 1.0), h)
+    return float(_log_hirsch_terms(params.q, log_a, h))
 
 
-def _log_hirsch_terms(params: HirschParams, h, lib):
-    # ln(1 - nu) + h ln nu for h >= 1; a scalar h with lib = math, arrays with
-    # lib = np.  With l = log1p(e^-|r|), ln(1 - nu) = -max(r, 0) - l and
+def _log_hirsch_terms(q: float, log_a, h):
+    # ln(1 - nu) + h ln nu for h >= 1 from ln A(h), by numpy on an array or a
+    # scalar alike.  With l = log1p(e^-|r|), ln(1 - nu) = -max(r, 0) - l and
     # ln nu = min(r, 0) - l: only e^-|r| is formed, so no q in (0, 1) overflows.
-    q = params.q
-    r = lib.log1p(-q) - lib.log(q) + trial_chain._log_sibuya_tail(params.p, h)
-    l = lib.log1p(lib.exp(-abs(r)))
-    r_pos = (r + abs(r)) / 2.0  # max(r, 0), exact
+    r = np.log1p(-q) - np.log(q) + log_a
+    l = np.log1p(np.exp(-np.abs(r)))
+    r_pos = (r + np.abs(r)) / 2.0  # max(r, 0), exact
     return -r_pos - l + h * ((r - r_pos) - l)
 
 
@@ -150,23 +134,17 @@ def log_tail_diagnostic(
 def hirsch_pmf_table(params: HirschParams, h_max: int) -> tuple[np.ndarray, float]:
     """(ln P{H = h} for h = 0..h_max, normalization_deficit(params, h_max)).
 
-    Below h = 30 each entry is `log_hirsch_pmf`; from h = 30 on the same
-    formula runs as one array pass, whose numpy log and exp put an entry
-    within a few ulp of the scalar one.  The deficit takes `hirsch_pmf`
-    below h = 30 and the exponentiated table above, where the terms are too
-    small to move its last bit at moderate q.
+    One array pass over ln A(1..h_max) from the survival prefix.  The
+    deficit is one `math.fsum` of the exponentiated entries, which are
+    `hirsch_pmf` bit for bit.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max!r}")
     q = params.q
-    head = min(h_max, _ARRAY_MIN_H - 1)
-    h = np.arange(_ARRAY_MIN_H, h_max + 1, dtype=np.float64)
-    log_probs = np.concatenate((
-        [log_hirsch_pmf(params, k) for k in range(head + 1)],
-        _log_hirsch_terms(params, h, np),
-    ))
-    terms = [hirsch_pmf(params, k) for k in range(1, head + 1)]
-    deficit = 1.0 - q - math.fsum(terms + np.exp(log_probs[_ARRAY_MIN_H:]).tolist())
+    log_a = trial_chain.tail_table(trial_chain.TrialChainParams(params.p, 1.0), h_max)
+    h = np.arange(1, h_max + 1, dtype=np.float64)
+    log_probs = np.concatenate(([math.log(q)], _log_hirsch_terms(q, log_a, h)))
+    deficit = 1.0 - q - math.fsum(map(math.exp, log_probs[1:].tolist()))
     return log_probs, deficit
 
 

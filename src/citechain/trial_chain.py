@@ -15,6 +15,7 @@ so tables remain exact even where the linear-space values underflow; see
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import threading
@@ -278,9 +279,7 @@ def sibuya_tail_closed(p: float, m: int) -> float:
 
 
 def _log_sibuya_tail(p: float, m):
-    """ln A(m) of `sibuya_tail_closed`, unchecked: 0 for m <= 1; m may be an array of m >= 30."""
-    if not isinstance(m, np.ndarray) and m <= 1:
-        return 0.0
+    """ln A(m) of `sibuya_tail_closed`, unchecked: m >= 1, or the sampler's array of m >= 30."""
     return specfun.log_gamma_ratio(m, p) - math.lgamma(1.0 - p)
 
 
@@ -302,6 +301,7 @@ def improper_mass(params: TrialChainParams) -> float:
     return math.exp(_log_improper_mass(params))
 
 
+@functools.lru_cache(maxsize=32)
 def _log_improper_mass(params: TrialChainParams) -> float:
     """ln P{X = infinity} for gamma > 1, by the series of `improper_mass`."""
     p, gamma = params.p, params.gamma
@@ -529,6 +529,9 @@ def growing_tail(params: GrowingChainParams, m: int) -> float:
     """P{X >= m} = q^(m-1) / ((m-1)!)^gamma; superexponentially small tails."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
+    # no scan where the closed log lies below -746: exp is 0.0 below -745.13
+    if (m - 1) * math.log(params.q) - params.gamma * math.lgamma(m) < -746.0:
+        return 0.0
     return math.exp(_log_survival_prefix(params, m - 1)[m - 1])
 
 

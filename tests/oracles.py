@@ -8,6 +8,9 @@
 - `hirsch_pmf_direct`: P{H = h} by explicit summation over the paper count,
   the sum that `citechain.hirsch`'s closed form evaluates as a geometric
   series.
+- `nu`: the success ratio of that geometric series in linear space, from
+  the closed Sibuya tail; `citechain.hirsch` forms its logs from the
+  survival prefix instead.
 - `resolve`: the h-index of one author's citation counts by sorting, the
   definition that the vectorized `hirsch.simulate_hirsch_many` implements
   with segment ranks.
@@ -96,6 +99,12 @@ def hirsch_pmf_direct(params: hirsch.HirschParams, h: int, l_max: int) -> float:
         q * (1.0 - q) ** l * math.comb(l, h) * a**h * (1.0 - a) ** (l - h)
         for l in range(h, l_max + 1)
     )
+
+
+def nu(params: hirsch.HirschParams, h: int) -> float:
+    """(1-q)A(h) / (q + (1-q)A(h)), the success ratio of the conditional geometric."""
+    weighted = (1.0 - params.q) * hirsch.at_least_prob(params.p, h)
+    return weighted / (params.q + weighted)
 
 
 def resolve(counts: np.ndarray) -> tuple[int, bool]:

@@ -84,7 +84,7 @@ class TestClosedForm:
             hirsch.log_hirsch_pmf(HALF_HALF, -1)
 
     def test_nu_strictly_decreasing(self):
-        values = [hirsch.nu(HALF_HALF, h) for h in range(1, 201)]
+        values = [oracles.nu(HALF_HALF, h) for h in range(1, 201)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_log_matches_linear(self):
@@ -122,6 +122,30 @@ class TestClosedForm:
         log_probs, _ = hirsch.hirsch_pmf_table(params, h)
         assert abs(log_probs[h] - ref) <= 4 * math.ulp(ref)
 
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_grid_against_mpmath(self, p):
+        # table and scalar within 8 ulp of 40-digit values on every cell; below
+        # h = 30 a difference of two lgamma values for ln A(h) would cancel
+        # (67 ulp off at p, q, h = 0.05, 0.5, 27)
+        mpmath = pytest.importorskip("mpmath")
+        hs = [*range(1, 40), 100, 1000, 7717, 30000, 99999, 10**5]
+        with mpmath.workdps(40):
+            pm = mpmath.mpf(p)
+            log_a = {h: mpmath.loggamma(h - pm) - mpmath.loggamma(h) - mpmath.loggamma(1 - pm)
+                     for h in hs}
+        for q in (0.001, 0.02, 0.2, 0.5, 0.8, 0.99):
+            params = HirschParams(p, q)
+            log_probs, _ = hirsch.hirsch_pmf_table(params, hs[-1])
+            for h in hs:
+                with mpmath.workdps(40):
+                    qm = mpmath.mpf(q)
+                    a = mpmath.exp(log_a[h])
+                    nu = (1 - qm) * a / (qm + (1 - qm) * a)
+                    ref = float(mpmath.log(1 - nu) + h * mpmath.log(nu))
+                tol = 8 * math.ulp(ref)
+                assert abs(hirsch.log_hirsch_pmf(params, h) - ref) <= tol, (q, h)
+                assert abs(log_probs[h] - ref) <= tol, (q, h)
+
     @pytest.mark.parametrize("q", [1e-300, 5e-324])
     def test_log_finite_at_tiny_q(self, q):
         params = HirschParams(0.5, q)
@@ -142,21 +166,19 @@ class TestClosedForm:
         assert 0.0 <= value <= 1.0
 
 
-# (p, q) pairs where the array table is held within 4 ulp of the scalar;
-# `TestClosedForm.test_log_small_q_against_mpmath` holds both at small q
+# (p, q) pairs where the table is held equal to the scalar;
+# `TestClosedForm.test_grid_against_mpmath` holds both against mpmath
 TABLE_PARAMS = [HALF_HALF, HirschParams(0.2, 0.8), HirschParams(0.9, 0.1)]
 
 
 class TestTable:
     @pytest.mark.parametrize("params", TABLE_PARAMS, ids=repr)
-    def test_matches_scalar_within_4_ulp(self, params):
+    def test_matches_scalar_exactly(self, params):
         log_probs, _ = hirsch.hirsch_pmf_table(params, 10**5)
         assert log_probs.shape == (10**5 + 1,)
         hs = [*range(0, 301), *range(301, 10**5, 97), 10**5]
         scalar = np.array([hirsch.log_hirsch_pmf(params, h) for h in hs])
-        assert np.all(np.abs(log_probs[hs] - scalar) <= 4 * np.spacing(np.abs(scalar)))
-        # the scalar route stays exact below the array's first h
-        assert np.array_equal(log_probs[:30], scalar[:30])
+        assert np.array_equal(log_probs[hs], scalar)
 
     @pytest.mark.parametrize("params", TABLE_PARAMS, ids=repr)
     @pytest.mark.parametrize("h_max", [10, 29, 30, 31, 200, 2000])

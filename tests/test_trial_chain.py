@@ -6,12 +6,13 @@ accumulated here as a plain floating product (a different rounding path from
 the package's compensated log-space route).
 """
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -136,14 +137,17 @@ class TestExactEvaluators:
         st.floats(min_value=0.0, max_value=3.0),
         st.integers(min_value=1, max_value=2000),
     )
+    @example(p=0.56640625, gamma=0.0, m=869)
     def test_telescoping_deep(self, p, gamma, m):
         # each of the three values passes through exp(x) with x good to one
         # ulp, so the achievable defect scales with |log tail| once the tail
-        # is deep; 1e-15 per log unit covers the worst case with margin
+        # is deep; 1e-15 per log unit covers the worst case with margin.
+        # Where the tails are subnormal the relative bound underflows, so a
+        # floor of four subnormal steps holds (the example is one step off)
         params = TrialChainParams(p, gamma)
         t_m, t_next = tc.tail(params, m), tc.tail(params, m + 1)
         lt = tc.log_tail(params, m)
-        tol = t_m * max(1e-14, 1e-15 * abs(lt))
+        tol = max(t_m * max(1e-14, 1e-15 * abs(lt)), 4 * math.ulp(0.0))
         assert abs(t_m - t_next - tc.pmf(params, m)) <= tol
 
     @given(
@@ -403,6 +407,15 @@ class TestImproperMass:
 
 
 class TestConditionalPmf:
+    def test_improper_mass_series_summed_once(self):
+        params = TrialChainParams(0.37, 2.5)
+        tc._log_improper_mass.cache_clear()
+        values = [tc.conditional_pmf(params, n) for n in range(1, 51)]
+        assert tc._log_improper_mass.cache_info().misses == 1
+        mass = math.exp(tc._log_improper_mass.__wrapped__(params))
+        assert values == [math.exp(tc.log_pmf(params, n) - math.log1p(-mass))
+                          for n in range(1, 51)]
+
     def test_requires_improper(self):
         with pytest.raises(ValueError):
             tc.conditional_pmf(TrialChainParams(0.5, 1.0), 3)
@@ -787,6 +800,29 @@ class TestGrowingChain:
         table = tc.growing_pmf_table(GrowingChainParams(0.5, 1.0), 10**5)
         assert tc._log_survival_prefix.cache_info()[:2] == (0, 1)
         assert np.isfinite(table.log_probs).all()
+
+    @pytest.mark.parametrize("q,gamma", [(0.5, 1.0), (0.9, 0.0), (0.3, 2.5), (0.999, 0.1)])
+    def test_underflow_shortcut_matches_scan(self, q, gamma):
+        # past the first m whose closed log is below -746 the scalars return
+        # 0.0 without a scan; on both sides they equal exp of the scan
+        params = GrowingChainParams(q, gamma)
+        m_star = next(m for m in itertools.count(2)
+                      if (m - 1) * math.log(q) - gamma * math.lgamma(m) < -746.0)
+        prefix = tc._log_survival_prefix(params, m_star + 1)
+        for m in (m_star - 2, m_star - 1, m_star, m_star + 1):
+            scan = math.exp(prefix[m - 1])
+            assert tc.growing_tail(params, m) == scan
+            assert tc.growing_pmf(params, m) == scan * (1.0 - q * m**-gamma)
+        assert tc.growing_tail(params, m_star) == 0.0
+
+    def test_underflowed_scalars_make_no_scan(self):
+        params = GrowingChainParams(0.5, 1.0)
+        tc._log_survival_prefix.cache_clear()
+        assert tc.growing_pmf(params, 10**6) == 0.0
+        assert tc._log_survival_prefix.cache_info().misses == 0
+        # a scan this long could not be allocated
+        assert tc.growing_pmf(params, 10**15) == 0.0
+        assert tc.growing_tail(params, 10**15) == 0.0
 
     def test_domains(self):
         params = GrowingChainParams(0.5, 1.0)
