@@ -137,32 +137,50 @@ _ChainParams = TrialChainParams | GrowingChainParams
 
 _PREFIX_CHAINS = 32
 # params._cache_key() -> (S[0..n], Neumaier sum, Neumaier compensation), least
-# recently used first; a plain tuple, as the dataclass's __hash__ is slow
+# recently used first; a plain tuple, as the dataclass's __hash__ is slow.
+# The scan runs in numpy blocks of _SCAN_BLOCK terms, and the stored pair is
+# the carry between blocks, so a chain grows bit for bit as one long scan.
 _prefix_chains: OrderedDict = OrderedDict()
 _prefix_counts = [0, 0]  # hits, misses
 _prefix_lock = threading.Lock()
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_SCAN_BLOCK = 1 << 16
 
 
 def _extend_prefix(
     params: _ChainParams, prefix: np.ndarray, s: float, c: float, n_max: int
 ) -> tuple[np.ndarray, float, float]:
     """Continue the compensated scan that produced `prefix` (ending in the
-    state s, c) up to S[n_max]; the result is read-only."""
+    state s, c) up to S[n_max]; the result is read-only.
+
+    Neumaier's loop (t = s + x; c += the rounding error of s + x; s = t;
+    S = s + c) is two sequential sums: s of the terms x, and c of each
+    step's exact error.  Each block of _SCAN_BLOCK terms runs both as
+    `np.add.accumulate` (sequential, so it rounds as the loop does) from the
+    carried (s, c), with the error from Knuth's branch-free TwoSum, which is
+    exact and so equals Neumaier's branch on |s| >= |x|.  The output is
+    therefore bit-identical to the per-term loop, written block by block
+    into the result array.
+    """
     start = prefix.size
-    k = np.arange(start, n_max + 1, dtype=np.float64)
-    tail = []
-    for x in params._log_failure(k).tolist():
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-        tail.append(s + c)
     out = np.empty(n_max + 1)
     out[:start] = prefix
-    out[start:] = tail
+    size = min(_SCAN_BLOCK, n_max + 1 - start) + 1
+    t = np.empty(size)  # [s, running sums...]
+    e = np.empty(size)  # [c, running compensations...]
+    for lo in range(start, n_max + 1, _SCAN_BLOCK):
+        m = min(_SCAN_BLOCK, n_max + 1 - lo)
+        x = params._log_failure(np.arange(lo, lo + m, dtype=np.float64))
+        t[0], t[1 : m + 1] = s, x
+        np.add.accumulate(t[: m + 1], out=t[: m + 1])
+        before, after = t[:m], t[1 : m + 1]
+        x_part = after - before
+        np.subtract(before, after - x_part, out=e[1 : m + 1])
+        e[1 : m + 1] += x - x_part
+        e[0] = c
+        np.add.accumulate(e[: m + 1], out=e[: m + 1])
+        np.add(after, e[1 : m + 1], out=out[lo : lo + m])
+        s, c = float(t[m]), float(e[m])
     out.flags.writeable = False
     return out, s, c
 
@@ -176,6 +194,8 @@ def _log_survival_prefix(params: _ChainParams, n_max: int) -> np.ndarray:
     Neumaier running compensation keeps each prefix accurate to one ulp of
     its own magnitude independent of length, which is what makes the
     telescoping identities below hold at the 1e-12 level for long tables.
+    `_extend_prefix` runs it as one numpy pass per block of 2^16 terms,
+    bit-identical to the per-term loop and with no per-term Python object.
 
     One grow-only scan is kept per chain, keyed by its params class and
     numbers, for the 32 most recently used chains.  A request past its end

@@ -8,6 +8,9 @@
 - `hirsch_pmf_direct`: P{H = h} by explicit summation over the paper count,
   the sum that `citechain.hirsch`'s closed form evaluates as a geometric
   series.
+- `neumaier_prefix`: the survival prefix by Neumaier's compensated loop,
+  one term at a time, which `trial_chain._extend_prefix` runs as one numpy
+  pass per block and must match bit for bit.
 - `nu`: the success ratio of that geometric series in linear space, from
   the closed Sibuya tail; `citechain.hirsch` forms its logs from the
   survival prefix instead.
@@ -99,6 +102,22 @@ def hirsch_pmf_direct(params: hirsch.HirschParams, h: int, l_max: int) -> float:
         q * (1.0 - q) ** l * math.comb(l, h) * a**h * (1.0 - a) ** (l - h)
         for l in range(h, l_max + 1)
     )
+
+
+def neumaier_prefix(log_failures: np.ndarray) -> np.ndarray:
+    """S[0..n] with S[0] = 0 and S[j] the Neumaier-compensated sum of the
+    first j log failures (Neumaier, ZAMM 54, 1974), one term at a time."""
+    s = c = 0.0
+    out = [0.0]
+    for x in log_failures.tolist():
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out.append(s + c)
+    return np.array(out)
 
 
 def nu(params: hirsch.HirschParams, h: int) -> float:

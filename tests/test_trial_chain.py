@@ -8,6 +8,7 @@ the package's compensated log-space route).
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,67 @@ class TestSurvivalPrefixCache:
         assert tc._log_survival_prefix.cache_info()[:2] == (1, 1)
         tc._log_survival_prefix.cache_clear()
         assert tc._log_survival_prefix.cache_info() == (0, 0, 32, 0)
+
+
+BLOCK = 1 << 16
+# request lengths on both sides of one block, and past three
+SEAM_NS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+SCAN_CHAINS = [
+    TrialChainParams(p, gamma) for p in (1e-3, 0.5, 0.999) for gamma in (0.0, 0.3, 0.7, 1.0, 1.5, 3.0)
+] + [GrowingChainParams(q, 1.0) for q in (0.01, 0.5, 0.99)]
+
+
+def _neumaier(params, n_max):
+    """S[0..n_max] by the per-term Neumaier loop."""
+    return oracles.neumaier_prefix(params._log_failure(np.arange(1, n_max + 1, dtype=np.float64)))
+
+
+class TestBlockedScan:
+    """The numpy block pass of `_extend_prefix` against the per-term loop."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        tc._log_survival_prefix.cache_clear()
+        yield
+        tc._log_survival_prefix.cache_clear()
+
+    def test_block_constant(self):
+        assert tc._SCAN_BLOCK == BLOCK
+
+    @pytest.mark.parametrize("params", SCAN_CHAINS, ids=repr)
+    def test_bit_identical_to_neumaier_loop(self, params):
+        # growing through SEAM_NS doubles the chain to 2 (2 BLOCK - 2) terms
+        want = _neumaier(params, 4 * BLOCK - 4)
+        for n in SEAM_NS:
+            got = _cold(tc._log_survival_prefix, params, n)
+            assert got.tobytes() == want[: n + 1].tobytes(), n
+        # grown request by request, each growth resuming from the stored (s, c)
+        tc._log_survival_prefix.cache_clear()
+        for n in [5, *SEAM_NS]:
+            assert tc._log_survival_prefix(params, n).tobytes() == want[: n + 1].tobytes(), n
+        chain = tc._prefix_chains[params._cache_key()][0]
+        assert chain.size == 4 * BLOCK - 3
+        assert chain.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("params", SCAN_CHAINS[::4], ids=repr)
+    def test_many_seams_with_a_small_block(self, params, monkeypatch):
+        monkeypatch.setattr(tc, "_SCAN_BLOCK", 7)
+        want = _neumaier(params, 4000)
+        rng = np.random.default_rng(11)
+        for n in [0, 1, 6, 7, 8, 13, 14, 15, *rng.integers(1, 2000, 20).tolist(), 2000]:
+            got = tc._log_survival_prefix(params, n)
+            assert got.tobytes() == want[: n + 1].tobytes(), n
+
+    def test_cold_million_term_scan_peak_memory(self):
+        # the 8 MB result plus a few block-sized temporaries; the per-term
+        # loop with its Python list peaked near 70 MB
+        tracemalloc.start()
+        try:
+            tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
 
 class TestSibuyaClosedForm:
