@@ -15,7 +15,8 @@ cannot represent (log below -700 or above 709) are emitted structurally:
 strict: a NaN or infinity exits 1 instead of printing an invalid token.
 Table columns are formed and written a block of cells at a time, in the
 exact bytes of `json.dumps(indent=2)` or `csv.writer`; every check runs
-before the first byte, so an error leaves stdout empty.
+before the first byte, so an error leaves stdout empty.  No CSV cell needs
+quoting, so each CSV row is its cells joined by commas.
 
 Exit codes: 0 success, 2 usage error (bad flags), 1 domain or validation
 error (out-of-range parameters, malformed input files).
@@ -24,8 +25,6 @@ error (out-of-range parameters, malformed input files).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -206,12 +205,8 @@ def _csv_value(value):
 def _render_csv(result: _Result) -> Iterator[str]:
     """The header, the columns' rows a block at a time, then the trailing
     rows."""
-    edges = []
-    for rows in ([result.header], [(k, _csv_value(v)) for k, v in result.trailing.items()]):
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(rows)
-        edges.append(text.getvalue())
-    return _csv_text(result, *edges)
+    tail = "".join(f"{key},{_csv_value(value)}\n" for key, value in result.trailing.items())
+    return _csv_text(result, ",".join(result.header) + "\n", tail)
 
 
 def _csv_text(result: _Result, head: str, tail: str) -> Iterator[str]:
@@ -294,7 +289,7 @@ def _cmd_asym(a) -> _Result:
 
 def _cmd_growing_pmf(a) -> _Result:
     params = trial_chain.GrowingChainParams(a.q, a.gamma)
-    table = trial_chain.growing_pmf_table(params, a.n_max)
+    table = trial_chain.pmf_table(params, a.n_max)
     return _table(
         "growing-pmf", {"q": a.q, "gamma": a.gamma, "n_max": a.n_max},
         "n", 1, table.log_probs, tail=_Log(table.log_tail),

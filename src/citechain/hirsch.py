@@ -195,13 +195,12 @@ def simulate_hirsch_many(
     # a censored chain has at least cap citations; the cap value keeps every
     # comparison against h < cap exact
     cits = np.where(censored, citation_cap, cits)
-    order = np.lexsort((-cits, author))
-    sorted_author = author[order]
-    sorted_cits = cits[order]
+    # author is non-decreasing and the primary key, so author[order] is author
+    sorted_cits = cits[np.lexsort((-cits, author))]
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1])) if n else np.empty(0, int)
     rank = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
     qualifies = sorted_cits >= rank + 1
-    true_h = np.bincount(sorted_author[qualifies], minlength=n)
+    true_h = np.bincount(author[qualifies], minlength=n)
     if (true_h >= citation_cap).any():
         warnings.warn(
             "some resolved indices reach the citation cap; values are lower "

@@ -37,7 +37,6 @@ __all__ = [
     "conditional_pmf",
     "estimate_constant",
     "growing_pmf",
-    "growing_pmf_table",
     "growing_tail",
     "improper_mass",
     "log_asym_pmf_shape",
@@ -81,6 +80,10 @@ class TrialChainParams:
             return np.full(k.shape, math.log1p(-self.p))
         return np.log1p(-self.p * k**-self.gamma)
 
+    def _log_success(self, k: np.ndarray) -> np.ndarray:
+        """ln(p/k^gamma), the log success chance at trials k."""
+        return math.log(self.p) - self.gamma * np.log(k)
+
     def _cache_key(self) -> tuple:
         return (TrialChainParams, self.p, self.gamma)
 
@@ -100,6 +103,10 @@ class GrowingChainParams:
     def _log_failure(self, k: np.ndarray) -> np.ndarray:
         """ln(q/k^gamma), the log failure chance at trials k."""
         return math.log(self.q) - self.gamma * np.log(k)
+
+    def _log_success(self, k: np.ndarray) -> np.ndarray:
+        """ln(1 - q/k^gamma), the log success chance at trials k."""
+        return np.log1p(-self.q * k**-self.gamma)
 
     def _cache_key(self) -> tuple:
         return (GrowingChainParams, self.q, self.gamma)
@@ -279,13 +286,18 @@ def tail_table(params: TrialChainParams, m_max: int) -> np.ndarray:
     return _log_survival_prefix(params, m_max - 1)[:m_max].copy()
 
 
-def pmf_table(params: TrialChainParams, n_max: int) -> PmfTable:
-    """Table of ln P{X = n} for n = 1..n_max with log tail P{X > n_max}."""
+def pmf_table(params: _ChainParams, n_max: int) -> PmfTable:
+    """Table of ln P{X = n} for n = 1..n_max with log tail P{X > n_max}.
+
+    ln P{X = n} = ln P{X > n - 1} + ln(success at n), for either chain: no
+    difference of two tails, so an entry keeps its digits far below the
+    float range.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     prefix = _log_survival_prefix(params, n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
-    log_probs = math.log(params.p) - params.gamma * np.log(n) + prefix[:-1]
+    log_probs = prefix[:-1] + params._log_success(n)
     return PmfTable(start=1, log_probs=log_probs, log_tail=float(prefix[-1]))
 
 
@@ -345,10 +357,17 @@ def conditional_pmf(params: TrialChainParams, n: int) -> float:
 
 
 def _fractional_exponent_sum(p: float, gamma: float, n: float, j_max: int) -> float:
-    """sum_{j=1}^{j_max} (p^j / j) n^(1 - gamma j) / (1 - gamma j)."""
+    """sum_{j=1}^{j_max} (p^j / j) n^(1 - gamma j) / (1 - gamma j).
+
+    Stops where p^j underflows: every later term is 0.0, so the sum is the
+    same to the bit and a tiny gamma does not set the loop's length.
+    """
     total = 0.0
     for j in range(1, j_max + 1):
-        total += p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
+        pj = p**j
+        if pj == 0.0:
+            break
+        total += pj / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
     return total
 
 
@@ -369,7 +388,8 @@ def log_asym_pmf_shape(
     gamma = 0 is rejected: that chain is exactly geometric and needs no
     asymptote.  The exponent sign is the convergent one.  `branch` picks
     a fractional branch in place of the one `classify_regime` gives; near
-    the integer boundary of 1/gamma, `estimate_constant` evaluates both.
+    the integer boundary of 1/gamma, `estimate_constant` asks for the
+    integer one.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
@@ -428,35 +448,30 @@ def estimate_constant(
     Ratios are formed in log space so deep-tail points cannot underflow.
     The spread (max/min - 1 of the ratio over the upper half of the grid)
     certifies stabilization.  For gamma > 1 the ratio uses the conditional
-    pmf, which is the quantity with a finite limiting constant.  Near the
-    integer boundary of 1/gamma both fractional branches are evaluated and
-    the better-stabilizing one is reported, with a warning.
+    pmf, which is the quantity with a finite limiting constant.  Where
+    1/gamma lies within 1e-6 of an integer J but is not classified as one,
+    the ratios use the integer branch, with a warning: there the non-integer
+    expansion either leaves out its J-th term or carries it as a constant
+    p^J / (J (1 - gamma J)), flat over any finite grid, while the integer
+    branch's constant stays bounded as the boundary is approached.
     """
     if len(grid) < 3 or sorted(grid) != list(grid):
         raise ValueError("grid must be at least three increasing points")
     if grid[-1] < 1000:
         raise ValueError("largest grid point must be >= 1000 to certify a limit")
     regime = classify_regime(params.gamma)
-    log_ratios = _log_ratios(params, tuple(grid))
-    if regime in (Regime.FRACTIONAL_INTEGER, Regime.FRACTIONAL_NON_INTEGER):
+    branch = None
+    if regime is Regime.FRACTIONAL_NON_INTEGER:
         inv = 1.0 / params.gamma
-        dist = abs(inv - round(inv))
-        if _INTEGER_TOL < dist <= _BOUNDARY_WARN_TOL:
-            # dist > _INTEGER_TOL, so the regime above is the non-integer one
-            alt = _log_ratios(params, tuple(grid), Regime.FRACTIONAL_INTEGER)
-            # the non-integer expansion carries a term ~ n^(1 - gamma J) / (1
-            # - gamma J) that is nearly flat over any finite grid, so spreads
-            # alone cannot separate the branches this close to the boundary;
-            # prefer the integer branch unless it stabilizes clearly worse,
-            # since its constant stays bounded as the boundary is approached
-            if _spread(alt) < 2.0 * _spread(log_ratios):
-                log_ratios = alt
+        if abs(inv - round(inv)) <= _BOUNDARY_WARN_TOL:
+            branch = Regime.FRACTIONAL_INTEGER
             warnings.warn(
                 f"1/gamma = {inv!r} sits near an integer; reporting the "
                 "better-stabilizing asymptotic branch",
                 UserWarning,
                 stacklevel=2,
             )
+    log_ratios = _log_ratios(params, tuple(grid), branch)
     return ConstantEstimate(
         constant=math.exp(log_ratios[-1]) if log_ratios[-1] < 709.0 else math.inf,
         spread=_spread(log_ratios),
@@ -560,17 +575,3 @@ def growing_pmf(params: GrowingChainParams, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     return growing_tail(params, n) * (1.0 - params.q * n**-params.gamma)
-
-
-def growing_pmf_table(params: GrowingChainParams, n_max: int) -> PmfTable:
-    """Table of ln P{X = n}, n = 1..n_max, and ln P{X > n_max}.
-
-    ln P{X = n} = ln P{X >= n} + log1p(-q n^-gamma): no difference of two
-    tails, so an entry keeps its digits far below the float range.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    prefix = _log_survival_prefix(params, n_max)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    log_probs = prefix[:-1] + np.log1p(-params.q * n**-params.gamma)
-    return PmfTable(start=1, log_probs=log_probs, log_tail=float(prefix[-1]))

@@ -224,7 +224,7 @@ class TestSurvivalPrefixCache:
         warm = [(tc.growing_tail(params, n + 1), tc.growing_pmf(params, n)) for n in ns]
         cold = [
             (
-                math.exp(_cold(tc.growing_pmf_table, params, n).log_tail),
+                math.exp(_cold(tc.pmf_table, params, n).log_tail),
                 _cold(tc.growing_pmf, params, n),
             )
             for n in ns
@@ -363,6 +363,30 @@ class TestBlockedScan:
         finally:
             tracemalloc.stop()
         assert peak <= 16e6
+
+
+class TestPmfTable:
+    """One `pmf_table` for both params classes, bit for bit the expressions
+    each class's table used before it was shared."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [TrialChainParams(p, g) for p in (1e-3, 0.5, 0.999) for g in (0.0, 0.5, 0.7, 1.0, 2.0)]
+        + [GrowingChainParams(q, g) for q in (0.01, 0.5, 0.99) for g in (0.0, 0.5, 1.0, 2.5)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("n_max", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+    def test_bits_of_both_chains(self, params, n_max):
+        prefix = tc._log_survival_prefix(params, n_max)
+        n = np.arange(1, n_max + 1, dtype=np.float64)
+        if isinstance(params, TrialChainParams):
+            want = math.log(params.p) - params.gamma * np.log(n) + prefix[:-1]
+        else:
+            want = prefix[:-1] + np.log1p(-params.q * n**-params.gamma)
+        table = tc.pmf_table(params, n_max)
+        assert table.log_probs.tobytes() == want.tobytes()
+        assert table.log_tail == prefix[-1]
+        assert table.start == 1
 
 
 class TestSibuyaClosedForm:
@@ -533,6 +557,18 @@ class TestAsymptoticShape:
         assert bad_range > 10.0 * good_range
 
 
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("gamma", [1.234e-5, 0.0123, 0.3])
+    @pytest.mark.parametrize("n", [1e3, 3e3, 1e4])
+    def test_exponent_sum_equals_full_loop(self, p, gamma, n):
+        # every term past the underflow of p^j is 0.0, so stopping there
+        # leaves the sum bit for bit
+        j_max = math.floor(1.0 / gamma)
+        full = 0.0
+        for j in range(1, j_max + 1):
+            full += p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
+        assert tc._fractional_exponent_sum(p, gamma, n, j_max) == full
+
     def test_branch_override_near_boundary(self):
         # 1/gamma sits 5e-7 above 3: classify_regime picks the non-integer
         # branch, and `branch` asks for the integer one, J = 3
@@ -543,6 +579,17 @@ class TestAsymptoticShape:
         got = tc.log_asym_pmf_shape(params, n, branch=Regime.FRACTIONAL_INTEGER)
         assert got == pytest.approx(expected, rel=1e-14)
         assert tc.log_asym_pmf_shape(params, n) != pytest.approx(expected, rel=1e-6)
+
+
+# (p, J, 1/gamma - J) inside the near-boundary window; 1/gamma just below 1
+# makes gamma > 1, an improper chain, so J = 1 takes only positive distances
+BOUNDARY_CASES = [
+    (p, j, dist)
+    for p in (0.01, 0.2, 0.5, 0.8, 0.99)
+    for j in range(1, 9)
+    for dist in (-9.9e-7, -1e-7, -1.5e-9, 1.5e-9, 1e-7, 5e-7, 9.9e-7)
+    if j > 1 or dist > 0
+]
 
 
 class TestEstimateConstant:
@@ -564,11 +611,27 @@ class TestEstimateConstant:
         assert est.spread < 0.02
         assert est.regime == Regime.IMPROPER
 
-    def test_near_integer_boundary_warns(self):
-        gamma = 1.0 / (3.0 + 5e-7)
+    @pytest.mark.parametrize("p,j,dist", BOUNDARY_CASES)
+    def test_near_boundary_reports_integer_branch(self, p, j, dist):
+        # inside the window the non-integer expansion drops its J-th term or
+        # carries it as a constant p^J / (J (1 - gamma J)), flat over the
+        # grid, so the integer branch is the one reported
+        params = TrialChainParams(p, 1.0 / (j + dist))
+        inv = 1.0 / params.gamma
+        assert tc._INTEGER_TOL < abs(inv - j) <= tc._BOUNDARY_WARN_TOL
         with pytest.warns(UserWarning, match="near an integer"):
-            est = tc.estimate_constant(TrialChainParams(0.5, gamma))
+            est = tc.estimate_constant(params)
+        assert est.regime is Regime.FRACTIONAL_NON_INTEGER
+        grid = (1000, 3000, 10_000)
+        assert est.log_ratios == tc._log_ratios(params, grid, Regime.FRACTIONAL_INTEGER)
         assert math.isfinite(est.constant)
+
+    def test_tiny_gamma_returns(self):
+        # floor(1/gamma) = 810,372,771 expansion terms, all but the first
+        # 1,074 exactly 0.0 (p^j underflows at j = 1,075)
+        est = tc.estimate_constant(TrialChainParams(0.5, 1.234e-9))
+        assert est.regime is Regime.FRACTIONAL_NON_INTEGER
+        assert all(math.isfinite(r) for r in est.log_ratios)
 
     def test_grid_validation(self):
         params = TrialChainParams(0.5, 0.7)
@@ -833,7 +896,7 @@ class TestGrowingChain:
 
     def test_deep_tail_log_survives(self):
         params = GrowingChainParams(0.5, 1.0)
-        table = tc.growing_pmf_table(params, 200)
+        table = tc.pmf_table(params, 200)
         assert table.total_mass() == pytest.approx(1.0, abs=1e-13)
         # factorial decay has long since underflowed linear floats here,
         # but the last entry and the tail slot still carry their logs:
@@ -845,7 +908,7 @@ class TestGrowingChain:
     def test_table_keeps_deep_logs(self, q, gamma):
         # ln P{X = n} = (n-1) ln q - gamma ln (n-1)! + log1p(-q n^-gamma),
         # finite and accurate long after the linear pmf has underflowed
-        table = tc.growing_pmf_table(GrowingChainParams(q, gamma), 2000)
+        table = tc.pmf_table(GrowingChainParams(q, gamma), 2000)
         n = np.arange(1, 2001)
         want = np.array([(k - 1) * math.log(q) - gamma * math.lgamma(k)
                          + math.log1p(-q * k**-gamma) for k in n.tolist()])
@@ -859,7 +922,7 @@ class TestGrowingChain:
 
         monkeypatch.setattr(math, "lgamma", no_lgamma)
         tc._log_survival_prefix.cache_clear()
-        table = tc.growing_pmf_table(GrowingChainParams(0.5, 1.0), 10**5)
+        table = tc.pmf_table(GrowingChainParams(0.5, 1.0), 10**5)
         assert tc._log_survival_prefix.cache_info()[:2] == (0, 1)
         assert np.isfinite(table.log_probs).all()
 
@@ -893,7 +956,7 @@ class TestGrowingChain:
         with pytest.raises(ValueError):
             tc.growing_pmf(params, 0)
         with pytest.raises(ValueError):
-            tc.growing_pmf_table(params, 0)
+            tc.pmf_table(params, 0)
 
     @given(
         st.floats(min_value=0.05, max_value=0.95),
