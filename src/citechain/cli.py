@@ -15,8 +15,11 @@ cannot represent (log below -700 or above 709) are emitted structurally:
 strict: a NaN or infinity exits 1 instead of printing an invalid token.
 Table columns are formed and written a block of cells at a time, in the
 exact bytes of `json.dumps(indent=2)` or `csv.writer`; every check runs
-before the first byte, so an error leaves stdout empty.  No CSV cell needs
-quoting, so each CSV row is its cells joined by commas.
+before the first byte, so an error leaves stdout empty.  Every number in a
+column or a trailing value is printed by one printer, `_numbers`: orjson's
+shortest round-trip digits (Ryu), which are repr's, in repr's layout; only
+the analyze table's two-decimal CSV cells are formatted apart.  No CSV cell
+needs quoting, so each CSV row is its cells joined by commas.
 
 Exit codes: 0 success, 2 usage error (bad flags), 1 domain or validation
 error (out-of-range parameters, malformed input files).
@@ -33,6 +36,7 @@ import warnings
 from collections.abc import Iterator
 
 import numpy as np
+import orjson
 
 from . import author_model, hirsch, scientometrics, streams, trial_chain
 
@@ -47,6 +51,10 @@ _BLOCK = 1 << 16
 # echoed string renders as a slot, and the payload, where slots sit, is last
 _SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')
 _NOT_JSON = "Out of range float values are not JSON compliant"
+_NUMPY = orjson.OPT_SERIALIZE_NUMPY
+# where a block's text must be cut into one str object per cell (cells of
+# different bands, CSV rows), it is joined again this many cells at a time
+_SUB_BLOCK = 1 << 12
 
 
 class _Log(float):
@@ -59,11 +67,96 @@ class _Rounded(float):
 
 
 class _Missing:
-    """A draw without a value, and what each format prints in its place."""
+    """A draw without a value, and what each format prints in its place
+    (a text without a comma)."""
 
     def __init__(self, json_value, csv_text: str):
         self.json_value = json_value
         self.csv_text = csv_text
+
+
+def _dumps(values: np.ndarray) -> str:
+    """orjson's cells of a float64 or int64 array, comma-separated."""
+    return orjson.dumps(values, option=_NUMPY).decode()[1:-1]
+
+
+def _small(values: np.ndarray) -> str:
+    """1e-9 <= |x| < 1e-5: orjson prints 1.5e-6, repr 1.5e-06."""
+    return _dumps(values).replace("e-", "e-0")
+
+
+def _positional(values: np.ndarray) -> str:
+    """1e-5 <= |x| < 1e-4: orjson prints 0.000015, repr 1.5e-05.
+
+    orjson prints |x| as "0.0000" and k digits; the cells of each k are
+    rewritten together, and the signs are put back last."""
+    size = np.abs(values)
+    text = np.frombuffer(orjson.dumps(size, option=_NUMPY), np.uint8)
+    # each cell ends at "," or "]" and holds "0.0000" and its digits
+    digits = np.diff(np.flatnonzero((text == ord(",")) | (text == ord("]"))), prepend=0) - 7
+    cells = np.empty(len(values), dtype=object)
+    for k in np.unique(digits).tolist():
+        where = np.flatnonzero(digits == k)
+        cells[where] = _exponent_form(size[where], k).split(",")
+    neg = np.flatnonzero(np.signbit(values))
+    if neg.size:
+        cells[neg] = ("-" + ",-".join(cells[neg])).split(",")
+    return ",".join(cells)
+
+
+_EXPONENT = np.frombuffer(b"e-05,", np.uint8)
+
+
+def _exponent_form(size: np.ndarray, k: int) -> str:
+    """The cells D.DDDe-05 of values in [1e-5, 1e-4) with k digits each,
+    comma-separated: one byte matrix whose columns are moved at once."""
+    text = orjson.dumps(size, option=_NUMPY)[1:-1] + b","
+    digit = np.frombuffer(text, np.uint8).reshape(-1, k + 7)[:, 6:-1]
+    out = np.empty((len(size), k + 5 + (k > 1)), np.uint8)
+    out[:, 0] = digit[:, 0]
+    out[:, 1] = ord(".")
+    out[:, 2:k + 1] = digit[:, 1:]
+    # "e-05," overwrites the point where there is one digit
+    out[:, -5:] = _EXPONENT
+    return out.ravel()[:-1].tobytes().decode()
+
+
+def _large(values: np.ndarray) -> str:
+    """|x| >= 1e16: orjson prints 1.5e16, repr 1.5e+16."""
+    return _dumps(values).replace("e", "e+")
+
+
+# orjson lays out |x| as repr does below 1e-9 and in [1e-4, 1e16); each
+# band between and beyond these edges has its own rule
+_EDGES = np.array([1e-9, 1e-5, 1e-4, 1e16])
+_BANDS = (_dumps, _small, _positional, _dumps, _large)
+
+
+def _numbers(values: np.ndarray) -> str:
+    """The one printer: each value of a non-empty, finite float64 array as
+    repr prints it, or of an int64 array as str does, comma-separated.
+
+    orjson prints the same shortest round-trip digits as repr, and the same
+    layout outside three bands of |x|.  Where all values lie in one band
+    but the positional one, they are printed by one orjson call and fixed by
+    the band's rule; otherwise a sub-block at a time, each band apart."""
+    if values.dtype.kind != "f":
+        return _dumps(values)
+    band = np.searchsorted(_EDGES, np.abs(values), side="right")
+    if (band == band[0]).all() and band[0] != 2:
+        return _BANDS[band[0]](values)
+    return ",".join(_mixed(values[lo:lo + _SUB_BLOCK], band[lo:lo + _SUB_BLOCK])
+                    for lo in range(0, len(values), _SUB_BLOCK))
+
+
+def _mixed(values: np.ndarray, band: np.ndarray) -> str:
+    """The cells of values whose bands are `band`: each band printed apart
+    and put in place."""
+    cells = np.empty(len(values), dtype=object)
+    for b in np.unique(band).tolist():
+        where = band == b
+        cells[where] = _BANDS[b](values[where]).split(",")
+    return ",".join(cells)
 
 
 class _Column:
@@ -72,18 +165,21 @@ class _Column:
     Log columns hold natural logs and print exp(L) where a float holds it,
     0.0 at -inf, and {"log_value": L} / `log:L` below -700 or above 709.
     Where `missing` is set a cell prints `stand_in` instead of its value.
-    CSV prints the other cells with `csv_cell`, JSON with repr.  A NaN, or
-    an infinity other than a log's -inf, is rejected here, before any
-    output.
+    Every number is printed by `_numbers`, except that CSV prints a column
+    with a `csv_format` through that %-format.  A NaN, or an infinity other
+    than a log's -inf, is rejected here, before any output: `_numbers`
+    never sees one.
     """
 
-    def __init__(self, values, logs=False, missing=None, stand_in=None, csv_cell=repr):
-        self.values = np.asarray(values)
+    def __init__(self, values, logs=False, missing=None, stand_in=None, csv_format=None):
+        values = np.asarray(values)
+        dtype = np.float64 if values.dtype.kind == "f" else np.int64
+        self.values = np.ascontiguousarray(values, dtype=dtype)
         self.logs = logs
         self.missing = missing
         self.stand_in = stand_in
-        self.csv_cell = csv_cell
-        if self.values.dtype.kind == "f":
+        self.csv_format = csv_format
+        if dtype is np.float64:
             v = self.values
             if np.isnan(v).any() or (v == np.inf).any() or (not logs and (v == -np.inf).any()):
                 raise ValueError(_NOT_JSON)
@@ -91,30 +187,51 @@ class _Column:
     def __len__(self) -> int:
         return len(self.values)
 
-    def cells(self, lo: int, hi: int, json_indent: str | None = None) -> list[str]:
-        """The text of cells lo..hi-1: CSV, or JSON for cells on lines
-        indented by `json_indent`."""
+    def cells(self, lo: int, hi: int, json_indent: str | None = None) -> str:
+        """The text of cells lo..hi-1, comma-separated (no cell holds a
+        comma): CSV, or JSON for cells on lines indented by `json_indent`."""
         v = self.values[lo:hi]
-        if json_indent is None:
-            log_form, fmt = "log:%r", self.csv_cell
-        else:
-            log_form = f'{{\n{json_indent}  "log_value": %r\n{json_indent}}}'
-            fmt = repr
+        if json_indent is None and self.csv_format:
+            return ",".join(np.char.mod(self.csv_format, v).tolist())
+        apart = None
         if self.logs:
+            form = ((v < _LOG_FLOOR) & (v > -np.inf)) | (v > _LOG_CEIL)
+            if form.any():
+                apart = form, _log_form(v[form], json_indent)
+                v = v[~form]
             # math.exp per cell: numpy's exp differs in the last bit on 4.6% of them
-            cells = list(map(float.__repr__, map(math.exp, np.minimum(v, _LOG_CEIL).tolist())))
-            for i in np.flatnonzero(((v < _LOG_FLOOR) & (v > -np.inf)) | (v > _LOG_CEIL)).tolist():
-                cells[i] = log_form % float(v[i])
-        else:
-            cells = list(map(fmt, v.tolist()))
-        if self.missing is not None:
-            if json_indent is None:
-                text = self.stand_in.csv_text
-            else:
-                text = json.dumps(self.stand_in.json_value, indent=2).replace("\n", "\n" + json_indent)
-            for i in np.flatnonzero(self.missing[lo:hi]).tolist():
-                cells[i] = text
-        return cells
+            v = np.fromiter(map(math.exp, v.tolist()), np.float64, len(v))
+        elif self.missing is not None and self.missing[lo:hi].any():
+            missing = self.missing[lo:hi]
+            text = self.stand_in.csv_text
+            if json_indent is not None:
+                text = json.dumps(self.stand_in.json_value, indent=2)
+                text = text.replace("\n", "\n" + json_indent)
+            apart = missing, text
+            v = v[~missing]
+        if apart is None:
+            return _numbers(v)
+        where, text = apart
+        cells = np.empty(len(where), dtype=object)
+        cells[where] = text
+        if len(v):
+            cells[~where] = _numbers(v).split(",")
+        return ",".join(cells)
+
+
+def _log_form(logs: np.ndarray, json_indent: str | None) -> list[str]:
+    """The cells {"log_value": L} (JSON) or `log:L` (CSV) of some logs."""
+    if json_indent is None:
+        head, tail = "log:", ""
+    else:
+        head, tail = f'{{\n{json_indent}  "log_value": ', f"\n{json_indent}}}"
+    return (head + _numbers(logs).replace(",", tail + "," + head) + tail).split(",")
+
+
+def _scalar(value) -> _Column:
+    """A trailing number, as a column of one cell."""
+    return _Column([value], logs=isinstance(value, _Log),
+                   csv_format="%.2f" if isinstance(value, _Rounded) else None)
 
 
 class _Result:
@@ -123,7 +240,8 @@ class _Result:
     CSV prints `header`, one row per `index` label with the `columns` beside
     it, then a (name, value) row per `trailing` entry.  JSON prints the
     columns, the trailing values and the JSON-only `extra` values as payload
-    keys.
+    keys.  `index` is a range of row numbers, an int64 array or a list of
+    labels.
     """
 
     def __init__(self, command, params, header, index=(), columns=None,
@@ -161,7 +279,7 @@ def _render_json(result: _Result) -> Iterator[str]:
     for key, column in result.columns.items():
         payload[key] = slot(column)
     for key, value in result.trailing.items():
-        payload[key] = slot(_Column([value], logs=True), True) if isinstance(value, _Log) else value
+        payload[key] = slot(_scalar(value), True) if isinstance(value, (int, float)) else value
     envelope = {
         "command": result.command,
         "params": result.params,
@@ -181,24 +299,24 @@ def _json_text(pieces: list[str], slots: list) -> Iterator[str]:
         indent = line[: len(line) - len(line.lstrip(" "))]
         column, scalar = slots[int(piece)]
         if scalar:
-            yield column.cells(0, 1, indent)[0]
+            yield column.cells(0, 1, indent)
         elif not len(column):
             yield "[]"
         else:
             item = indent + "  "
             sep = ",\n" + item
+            yield "[\n" + item
             for lo in range(0, len(column), _BLOCK):
-                cells = column.cells(lo, min(lo + _BLOCK, len(column)), item)
-                yield (sep if lo else "[\n" + item) + sep.join(cells)
+                if lo:
+                    yield sep
+                yield column.cells(lo, min(lo + _BLOCK, len(column)), item).replace(",", sep)
             yield "\n" + indent + "]"
     yield "\n"
 
 
 def _csv_value(value):
-    if isinstance(value, _Log):
-        return _Column([value], logs=True).cells(0, 1)[0]
-    if isinstance(value, _Rounded):
-        return f"{value:.2f}"
+    if isinstance(value, (int, float)):
+        return _scalar(value).cells(0, 1)
     return value
 
 
@@ -209,15 +327,37 @@ def _render_csv(result: _Result) -> Iterator[str]:
     return _csv_text(result, ",".join(result.header) + "\n", tail)
 
 
+def _index_cells(index, lo: int, hi: int):
+    """The CSV index cells lo..hi-1: row numbers through the printer,
+    labels as they are."""
+    part = index[lo:hi]
+    if isinstance(part, range):
+        part = np.arange(part.start, part.stop)
+    if isinstance(part, np.ndarray):
+        return _numbers(part).split(",")
+    return part
+
+
 def _csv_text(result: _Result, head: str, tail: str) -> Iterator[str]:
     yield head
     for lo in range(0, len(result.index), _BLOCK):
-        hi = min(lo + _BLOCK, len(result.index))
-        rows = result.index[lo:hi]
-        for column in result.columns.values():
-            rows = [f"{row},{cell}" for row, cell in zip(rows, column.cells(lo, hi))]
-        yield "\n".join(rows) + "\n"
+        yield from _csv_rows(result, lo, min(lo + _BLOCK, len(result.index)))
     yield tail
+
+
+def _csv_rows(result: _Result, lo: int, hi: int) -> Iterator[str]:
+    """Rows lo..hi-1, a sub-block of rows at a time: each cell is followed
+    by a comma, the last in a row by a newline."""
+    columns = [column.cells(lo, hi).split(",") for column in result.columns.values()]
+    width = 2 + 2 * len(columns)
+    for at in range(0, hi - lo, _SUB_BLOCK):
+        rows = min(_SUB_BLOCK, hi - lo - at)
+        parts = [","] * (width * rows)
+        parts[width - 1::width] = ["\n"] * rows
+        parts[::width] = _index_cells(result.index, lo + at, lo + at + rows)
+        for j, cells in enumerate(columns, 1):
+            parts[2 * j::width] = cells[at:at + rows]
+        yield "".join(parts)
 
 
 def _log_or_neg_inf(value: float) -> float:
@@ -276,7 +416,7 @@ def _cmd_asym(a) -> _Result:
     log_ratios = estimate.log_ratios
     # ratio and constant come from the logs: near 1/gamma = 3 they overflow
     return _Result(
-        "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"), grid,
+        "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"), np.array(grid),
         {"ratios": _Column(log_ratios, logs=True)},
         trailing={
             "constant": _Log(log_ratios[-1]),
@@ -385,7 +525,7 @@ def _cmd_analyze(a) -> _Result:
     return _Result(
         "analyze", {"source": str(source)}, ("field", "value"),
         [f"kappa_{i}" for i in range(1, len(rep.kappa) + 1)],
-        {"kappa": _Column(rep.kappa, csv_cell="{:.2f}".format)},
+        {"kappa": _Column(rep.kappa, csv_format="%.2f")},
         trailing={
             "h_mean": rep.h_mean,
             "h_sample_sd": _Rounded(rep.h_sample_sd),

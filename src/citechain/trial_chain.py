@@ -467,7 +467,7 @@ def estimate_constant(
             branch = Regime.FRACTIONAL_INTEGER
             warnings.warn(
                 f"1/gamma = {inv!r} sits near an integer; reporting the "
-                "better-stabilizing asymptotic branch",
+                "integer-1/gamma asymptotic branch",
                 UserWarning,
                 stacklevel=2,
             )

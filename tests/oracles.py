@@ -198,6 +198,12 @@ def _cells(column, log_cell, missing_cell, plain_cell) -> list:
     return cells
 
 
+def _plain_csv(csv_format):
+    if csv_format is None:
+        return lambda v: v
+    return lambda v: csv_format % v
+
+
 def render_json(result) -> str:
     payload = dict(result.extra)
     for key, column in result.columns.items():
@@ -213,7 +219,7 @@ def render_csv(result) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(result.header)
-    columns = [_cells(c, _log_csv, lambda s: s.csv_text, c.csv_cell)
+    columns = [_cells(c, _log_csv, lambda s: s.csv_text, _plain_csv(c.csv_format))
                for c in result.columns.values()]
     writer.writerows(zip(result.index, *columns))
     for key, value in result.trailing.items():
