@@ -13,13 +13,15 @@ the format asked for is rendered.  Values held as natural logs that a float
 cannot represent (log below -700 or above 709) are emitted structurally:
 {"log_value": L} objects in JSON and `log:L` cells in CSV.  JSON output is
 strict: a NaN or infinity exits 1 instead of printing an invalid token.
-Table columns are formed and written a block of cells at a time, in the
-exact bytes of `json.dumps(indent=2)` or `csv.writer`; every check runs
+Table columns are written a block of `_BLOCK` cells at a time, in the exact
+bytes of `json.dumps(indent=2)` or `csv.writer`: each block's cells are
+formed, printed and joined into lines or rows in one pass.  Every check runs
 before the first byte, so an error leaves stdout empty.  Every number in a
-column or a trailing value is printed by one printer, `_numbers`: orjson's
-shortest round-trip digits (Ryu), which are repr's, in repr's layout; only
-the analyze table's two-decimal CSV cells are formatted apart.  No CSV cell
-needs quoting, so each CSV row is its cells joined by commas.
+column or a trailing value is a `_Column` printed by one printer,
+`_numbers`: orjson's shortest round-trip digits (Ryu), which are repr's, in
+repr's layout; only the analyze table's two-decimal CSV cells are formatted
+apart.  No CSV cell needs quoting, so each CSV row is its cells joined by
+commas.
 
 Exit codes: 0 success, 2 usage error (bad flags), 1 domain or validation
 error (out-of-range parameters, malformed input files).
@@ -45,25 +47,14 @@ __all__ = ["main", "run"]
 # exp underflows below the floor and overflows above the ceiling
 _LOG_FLOOR = -700.0
 _LOG_CEIL = 709.0
-# cells formed and written at a time: memory stays O(block), not O(column)
-_BLOCK = 1 << 16
+# cells formed, printed and joined at a time: memory stays O(block), not
+# O(column), and a block cut into one str object per cell stays small
+_BLOCK = 1 << 12
 # a column's stand-in in the JSON envelope: argv cannot carry a NUL, so no
 # echoed string renders as a slot, and the payload, where slots sit, is last
 _SLOT = re.compile(r'"\\u0000(\d+)\\u0000"')
 _NOT_JSON = "Out of range float values are not JSON compliant"
 _NUMPY = orjson.OPT_SERIALIZE_NUMPY
-# where a block's text must be cut into one str object per cell (cells of
-# different bands, CSV rows), it is joined again this many cells at a time
-_SUB_BLOCK = 1 << 12
-
-
-class _Log(float):
-    """A value held as its natural log."""
-
-
-class _Rounded(float):
-    """A float that CSV prints to two decimals, as in the source listings,
-    and JSON prints in full."""
 
 
 class _Missing:
@@ -95,7 +86,8 @@ def _positional(values: np.ndarray) -> str:
     # each cell ends at "," or "]" and holds "0.0000" and its digits
     digits = np.diff(np.flatnonzero((text == ord(",")) | (text == ord("]"))), prepend=0) - 7
     cells = np.empty(len(values), dtype=object)
-    for k in np.unique(digits).tolist():
+    # the lengths present: np.unique would import numpy.ma, 1 MB and 10 ms
+    for k in np.flatnonzero(np.bincount(digits)).tolist():
         where = np.flatnonzero(digits == k)
         cells[where] = _exponent_form(size[where], k).split(",")
     neg = np.flatnonzero(np.signbit(values))
@@ -138,22 +130,15 @@ def _numbers(values: np.ndarray) -> str:
 
     orjson prints the same shortest round-trip digits as repr, and the same
     layout outside three bands of |x|.  Where all values lie in one band
-    but the positional one, they are printed by one orjson call and fixed by
-    the band's rule; otherwise a sub-block at a time, each band apart."""
+    they are printed by the band's rule at once; otherwise each band is
+    printed apart and its cells are put in place."""
     if values.dtype.kind != "f":
         return _dumps(values)
     band = np.searchsorted(_EDGES, np.abs(values), side="right")
-    if (band == band[0]).all() and band[0] != 2:
+    if (band == band[0]).all():
         return _BANDS[band[0]](values)
-    return ",".join(_mixed(values[lo:lo + _SUB_BLOCK], band[lo:lo + _SUB_BLOCK])
-                    for lo in range(0, len(values), _SUB_BLOCK))
-
-
-def _mixed(values: np.ndarray, band: np.ndarray) -> str:
-    """The cells of values whose bands are `band`: each band printed apart
-    and put in place."""
     cells = np.empty(len(values), dtype=object)
-    for b in np.unique(band).tolist():
+    for b in np.flatnonzero(np.bincount(band)).tolist():
         where = band == b
         cells[where] = _BANDS[b](values[where]).split(",")
     return ",".join(cells)
@@ -228,10 +213,9 @@ def _log_form(logs: np.ndarray, json_indent: str | None) -> list[str]:
     return (head + _numbers(logs).replace(",", tail + "," + head) + tail).split(",")
 
 
-def _scalar(value) -> _Column:
-    """A trailing number, as a column of one cell."""
-    return _Column([value], logs=isinstance(value, _Log),
-                   csv_format="%.2f" if isinstance(value, _Rounded) else None)
+def _scalar(value):
+    """A trailing value, with a plain number made a column of one cell."""
+    return _Column([value]) if isinstance(value, (int, float)) else value
 
 
 class _Result:
@@ -240,8 +224,9 @@ class _Result:
     CSV prints `header`, one row per `index` label with the `columns` beside
     it, then a (name, value) row per `trailing` entry.  JSON prints the
     columns, the trailing values and the JSON-only `extra` values as payload
-    keys.  `index` is a range of row numbers, an int64 array or a list of
-    labels.
+    keys.  `index` is a range of row numbers or a list of labels.  A
+    trailing value is a number, a text, or a one-cell `_Column` where it is
+    printed as a log or to two CSV decimals.
     """
 
     def __init__(self, command, params, header, index=(), columns=None,
@@ -279,7 +264,8 @@ def _render_json(result: _Result) -> Iterator[str]:
     for key, column in result.columns.items():
         payload[key] = slot(column)
     for key, value in result.trailing.items():
-        payload[key] = slot(_scalar(value), True) if isinstance(value, (int, float)) else value
+        value = _scalar(value)
+        payload[key] = slot(value, True) if isinstance(value, _Column) else value
     envelope = {
         "command": result.command,
         "params": result.params,
@@ -315,9 +301,8 @@ def _json_text(pieces: list[str], slots: list) -> Iterator[str]:
 
 
 def _csv_value(value):
-    if isinstance(value, (int, float)):
-        return _scalar(value).cells(0, 1)
-    return value
+    value = _scalar(value)
+    return value.cells(0, 1) if isinstance(value, _Column) else value
 
 
 def _render_csv(result: _Result) -> Iterator[str]:
@@ -327,37 +312,22 @@ def _render_csv(result: _Result) -> Iterator[str]:
     return _csv_text(result, ",".join(result.header) + "\n", tail)
 
 
-def _index_cells(index, lo: int, hi: int):
-    """The CSV index cells lo..hi-1: row numbers through the printer,
-    labels as they are."""
-    part = index[lo:hi]
-    if isinstance(part, range):
-        part = np.arange(part.start, part.stop)
-    if isinstance(part, np.ndarray):
-        return _numbers(part).split(",")
-    return part
-
-
 def _csv_text(result: _Result, head: str, tail: str) -> Iterator[str]:
     yield head
+    width = 2 + 2 * len(result.columns)
     for lo in range(0, len(result.index), _BLOCK):
-        yield from _csv_rows(result, lo, min(lo + _BLOCK, len(result.index)))
-    yield tail
-
-
-def _csv_rows(result: _Result, lo: int, hi: int) -> Iterator[str]:
-    """Rows lo..hi-1, a sub-block of rows at a time: each cell is followed
-    by a comma, the last in a row by a newline."""
-    columns = [column.cells(lo, hi).split(",") for column in result.columns.values()]
-    width = 2 + 2 * len(columns)
-    for at in range(0, hi - lo, _SUB_BLOCK):
-        rows = min(_SUB_BLOCK, hi - lo - at)
+        labels = result.index[lo:lo + _BLOCK]
+        rows = len(labels)
+        if isinstance(labels, range):
+            labels = _numbers(np.arange(labels.start, labels.stop)).split(",")
+        # each cell is followed by a comma, the last in a row by a newline
         parts = [","] * (width * rows)
         parts[width - 1::width] = ["\n"] * rows
-        parts[::width] = _index_cells(result.index, lo + at, lo + at + rows)
-        for j, cells in enumerate(columns, 1):
-            parts[2 * j::width] = cells[at:at + rows]
+        parts[::width] = labels
+        for j, column in enumerate(result.columns.values(), 1):
+            parts[2 * j::width] = column.cells(lo, lo + rows).split(",")
         yield "".join(parts)
+    yield tail
 
 
 def _log_or_neg_inf(value: float) -> float:
@@ -366,12 +336,9 @@ def _log_or_neg_inf(value: float) -> float:
 
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
-        grid = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--grid must be comma-separated integers, got {text!r}") from None
-    if len(grid) < 2 or sorted(grid) != list(grid) or grid[0] < 1:
-        raise ValueError("--grid must be at least two increasing positive integers")
-    return grid
 
 
 def _cmd_pmf(a) -> _Result:
@@ -388,7 +355,7 @@ def _cmd_pmf(a) -> _Result:
     return _table(
         "pmf",
         {"p": a.p, "gamma": a.gamma, "n_max": a.n_max, "conditional": bool(a.conditional)},
-        "n", 1, log_probs, tail=_Log(log_tail),
+        "n", 1, log_probs, tail=_Column([log_tail], logs=True),
     )
 
 
@@ -416,10 +383,11 @@ def _cmd_asym(a) -> _Result:
     log_ratios = estimate.log_ratios
     # ratio and constant come from the logs: near 1/gamma = 3 they overflow
     return _Result(
-        "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"), np.array(grid),
+        "asym", {"p": a.p, "gamma": a.gamma, "grid": list(grid)}, ("n", "ratio"),
+        [str(n) for n in grid],
         {"ratios": _Column(log_ratios, logs=True)},
         trailing={
-            "constant": _Log(log_ratios[-1]),
+            "constant": _Column([log_ratios[-1]], logs=True),
             "spread": estimate.spread,
             "regime": estimate.regime.value,
         },
@@ -432,7 +400,7 @@ def _cmd_growing_pmf(a) -> _Result:
     table = trial_chain.pmf_table(params, a.n_max)
     return _table(
         "growing-pmf", {"q": a.q, "gamma": a.gamma, "n_max": a.n_max},
-        "n", 1, table.log_probs, tail=_Log(table.log_tail),
+        "n", 1, table.log_probs, tail=_Column([table.log_tail], logs=True),
     )
 
 
@@ -441,7 +409,7 @@ def _cmd_author_pmf(a) -> _Result:
     table = author_model.author_pmf_table(params, a.s_max)
     return _table(
         "author-pmf", {"p": a.p, "q": a.q, "s_max": a.s_max, "method": a.method},
-        "s", 0, table.log_probs, tail=_Log(table.log_tail),
+        "s", 0, table.log_probs, tail=_Column([table.log_tail], logs=True),
     )
 
 
@@ -528,7 +496,7 @@ def _cmd_analyze(a) -> _Result:
         {"kappa": _Column(rep.kappa, csv_format="%.2f")},
         trailing={
             "h_mean": rep.h_mean,
-            "h_sample_sd": _Rounded(rep.h_sample_sd),
+            "h_sample_sd": _Column([rep.h_sample_sd], csv_format="%.2f"),
             "rho1": rep.rho1,
             "rho2": rep.rho2,
             "kappa_le_5_count": rep.kappa_le_5_count,

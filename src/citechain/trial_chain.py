@@ -385,11 +385,11 @@ def log_asym_pmf_shape(
     Heavy tail (g=1): p / (n^(p+1) Gamma(1-p))
     Improper (g>1):   p / n^gamma                          (conditional shape)
 
-    gamma = 0 is rejected: that chain is exactly geometric and needs no
-    asymptote.  The exponent sign is the convergent one.  `branch` picks
-    a fractional branch in place of the one `classify_regime` gives; near
-    the integer boundary of 1/gamma, `estimate_constant` asks for the
-    integer one.
+    gamma <= 1e-9 is rejected: `classify_regime` takes that chain as
+    geometric, which needs no asymptote.  The exponent sign is the
+    convergent one.  `branch` picks a fractional branch in place of the one
+    `classify_regime` gives; near the integer boundary of 1/gamma,
+    `estimate_constant` asks for the integer one.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
@@ -397,7 +397,8 @@ def log_asym_pmf_shape(
     regime = classify_regime(gamma) if branch is None else branch
     nf = float(n)
     if regime is Regime.GEOMETRIC:
-        raise ValueError("gamma = 0 is exactly geometric; no asymptotic shape")
+        raise ValueError(f"gamma = {gamma!r} is within {_INTEGER_TOL!r} of 0, where the chain "
+                         "is taken as geometric; no asymptotic shape")
     if regime is Regime.SIBUYA:
         return math.log(p) - (p + 1.0) * math.log(nf) - math.lgamma(1.0 - p)
     if regime is Regime.IMPROPER:
@@ -455,8 +456,9 @@ def estimate_constant(
     p^J / (J (1 - gamma J)), flat over any finite grid, while the integer
     branch's constant stays bounded as the boundary is approached.
     """
-    if len(grid) < 3 or sorted(grid) != list(grid):
-        raise ValueError("grid must be at least three increasing points")
+    if len(grid) < 3 or grid[0] < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid must be at least three strictly increasing points, each >= 2; "
+                         f"got {list(grid)}")
     if grid[-1] < 1000:
         raise ValueError("largest grid point must be >= 1000 to certify a limit")
     regime = classify_regime(params.gamma)

@@ -209,7 +209,9 @@ def render_json(result) -> str:
     for key, column in result.columns.items():
         payload[key] = _cells(column, _log_json, lambda s: s.json_value, lambda v: v)
     for key, value in result.trailing.items():
-        payload[key] = _log_json(value) if isinstance(value, cli._Log) else value
+        if isinstance(value, cli._Column):
+            (value,) = _cells(value, _log_json, None, lambda v: v)
+        payload[key] = value
     envelope = {"command": result.command, "params": result.params,
                 "payload": payload, "diagnostics": result.diagnostics}
     return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -223,9 +225,7 @@ def render_csv(result) -> str:
                for c in result.columns.values()]
     writer.writerows(zip(result.index, *columns))
     for key, value in result.trailing.items():
-        if isinstance(value, cli._Log):
-            value = _log_csv(value)
-        elif isinstance(value, cli._Rounded):
-            value = f"{value:.2f}"
+        if isinstance(value, cli._Column):
+            (value,) = _cells(value, _log_csv, None, _plain_csv(value.csv_format))
         writer.writerow((key, value))
     return out.getvalue()

@@ -143,15 +143,16 @@ class TestAsymCommand:
         assert rows["constant"] == f"log:{p['log_ratios'][-1]!r}"
         assert rows["10000"] == rows["constant"]
 
-    def test_bad_grid(self, capsys):
-        code, _, err = run_cli(
-            capsys, "asym", "--p", "0.5", "--gamma", "0.7", "--grid", "10000,10"
-        )
-        assert code == 1 and "increasing" in err
-        code, _, err = run_cli(
-            capsys, "asym", "--p", "0.5", "--gamma", "0.7", "--grid", "a,b,c"
-        )
-        assert code == 1 and "comma-separated" in err
+    @pytest.mark.parametrize("grid, message", [
+        ("10000,10", "increasing"),
+        ("1000,1000,1000", "increasing"),
+        ("1,1000,10000", "increasing"),
+        ("a,b,c", "comma-separated"),
+    ])
+    def test_bad_grid(self, capsys, grid, message):
+        code, out, err = run_cli(capsys, "asym", "--p", "0.5", "--gamma", "0.7", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 class TestGrowingPmf:

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from citechain import cli
+from texts import assert_same_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILE = GOLDEN_DIR / "cli.json"
@@ -103,8 +104,8 @@ def test_cli_output_matches_golden(argv, golden, in_golden_dir):
     expected = golden[" ".join(argv)]
     got = _run(argv)
     assert got["exit_code"] == expected["exit_code"]
-    assert got["stderr"] == expected["stderr"]
-    assert got["stdout"] == expected["stdout"]
+    assert_same_text(got["stderr"], expected["stderr"])
+    assert_same_text(got["stdout"], expected["stdout"])
 
 
 def _changed(old: dict | None, new: dict) -> bool:

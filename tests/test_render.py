@@ -2,10 +2,10 @@
 
 `oracles.render_json` prints a result with one `json.dumps(indent=2)` call
 over per-cell Python values, and `oracles.render_csv` with one `csv.writer`
-over per-cell text; the writer forms cells a block at a time and must print
-the same bytes at every column length around the block size.  The length
-sweeps shrink the block to B cells, and the sub-block to S cells, so that
-they stay fast; the stdout test runs at the real sizes.
+over per-cell text; the writer forms, prints and joins cells a block at a
+time and must print the same bytes at every column length around the block
+size.  The length sweeps shrink the block to B cells, so that they stay
+fast; the stdout and memory tests run at the real block size.
 
 The printer, `cli._numbers`, is held to `float.__repr__` and `str` cell for
 cell over every binade, the edges of orjson's layout bands and a million
@@ -21,9 +21,9 @@ import pytest
 
 import oracles
 from citechain import cli, trial_chain
+from texts import assert_same_text
 
 B = 16
-S = 4
 LENGTHS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
 # the edges of orjson's layout bands, where the printer fixes its layout
 BAND_EDGES = [1e-9, 1e-5, 1e-4, 1e16, 1e100]
@@ -41,7 +41,6 @@ EDGES = [
 @pytest.fixture
 def small_block(monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK", B)
-    monkeypatch.setattr(cli, "_SUB_BLOCK", S)
 
 
 def _binades() -> list[float]:
@@ -122,8 +121,8 @@ def test_float_column_with_every_band(small_block):
     values = np.array(_band_edges() + [-x for x in _band_edges()] + [0.0, 3.25, -1e-300])
     result = cli._Result("x", {}, ("i", "v"), range(len(values)), {"v": cli._Column(values)},
                          trailing={"big": 2e16, "small": -1.5e-5, "count": 7})
-    assert _json(result) == oracles.render_json(result)
-    assert _csv(result) == oracles.render_csv(result)
+    assert_same_text(_json(result), oracles.render_json(result))
+    assert_same_text(_csv(result), oracles.render_csv(result))
 
 
 def _logs(n: int) -> np.ndarray:
@@ -147,9 +146,9 @@ def _csv(result) -> str:
 @pytest.mark.parametrize("n", LENGTHS)
 def test_log_table_matches_one_call_rendering(n, small_block):
     logs = _logs(n)
-    result = cli._table("tail", {"n": n}, "m", 1, logs, tail=cli._Log(-750.25))
-    assert _json(result) == oracles.render_json(result)
-    assert _csv(result) == oracles.render_csv(result)
+    result = cli._table("tail", {"n": n}, "m", 1, logs, tail=cli._Column([-750.25], logs=True))
+    assert_same_text(_json(result), oracles.render_json(result))
+    assert_same_text(_csv(result), oracles.render_csv(result))
 
 
 @pytest.mark.parametrize("n", [1, B + 1, 3 * B + 7])
@@ -173,8 +172,8 @@ def test_sample_columns_with_stand_ins(n, small_block):
         {"papers": cli._Column(values), "citations": cli._Column(values[::-1])},
     )
     for result in (trial, hirsch, author):
-        assert _json(result) == oracles.render_json(result)
-        assert _csv(result) == oracles.render_csv(result)
+        assert_same_text(_json(result), oracles.render_json(result))
+        assert_same_text(_csv(result), oracles.render_csv(result))
 
 
 def test_rounded_column_and_labels():
@@ -183,10 +182,10 @@ def test_rounded_column_and_labels():
         "analyze", {"source": "x"}, ("field", "value"),
         [f"kappa_{i}" for i in range(1, 5)],
         {"kappa": cli._Column(kappa, csv_format="%.2f")},
-        trailing={"h_sample_sd": cli._Rounded(2.345678), "rho1": 0.5},
+        trailing={"h_sample_sd": cli._Column([2.345678], csv_format="%.2f"), "rho1": 0.5},
     )
-    assert _json(result) == oracles.render_json(result)
-    assert _csv(result) == oracles.render_csv(result)
+    assert_same_text(_json(result), oracles.render_json(result))
+    assert_same_text(_csv(result), oracles.render_csv(result))
 
 
 @pytest.fixture
@@ -284,12 +283,16 @@ def _peak_bytes(write) -> int:
         tracemalloc.stop()
 
 
+def _band_heavy_tail(cells: int):
+    logs = trial_chain.tail_table(trial_chain.TrialChainParams(0.8, 1.0), cells)
+    return logs, cli._table("tail", {}, "m", 1, logs, key="tails", header="tail")
+
+
 def test_block_memory_stays_below_the_repr_writer():
-    # a block where most cells print in the 1e-5 <= x < 1e-4 band, against
+    # a column where most cells print in the 1e-5 <= x < 1e-4 band, against
     # the writer this printer replaced: math.exp, float.__repr__ and a join
-    # per block, with an f-string per CSV row
-    logs = trial_chain.tail_table(trial_chain.TrialChainParams(0.8, 1.0), cli._BLOCK)
-    result = cli._table("tail", {}, "m", 1, logs, key="tails", header="tail")
+    # per block of 2^16 cells, with an f-string per CSV row
+    logs, result = _band_heavy_tail(1 << 16)
     x = np.exp(logs)
     assert ((x >= 1e-5) & (x < 1e-4)).mean() > 0.7
 
@@ -308,12 +311,35 @@ def test_block_memory_stays_below_the_repr_writer():
     assert _peak_bytes(lambda: cli._render_csv(result)) <= _peak_bytes(repr_csv) + margin
 
 
+@pytest.mark.parametrize("render", [cli._render_json, cli._render_csv])
+def test_block_memory_does_not_grow_with_the_column(render):
+    # the writer holds one block at a time: four times the cells, whose
+    # longer digit strings reach into the next band, peak no higher than
+    # 128 KB more (a second copy of the column's values alone is 2 MB)
+    short, long = _band_heavy_tail(1 << 16)[1], _band_heavy_tail(1 << 18)[1]
+    assert _peak_bytes(lambda: render(long)) <= _peak_bytes(lambda: render(short)) + 128 * 1024
+
+
+N = 3 * cli._BLOCK + 7
+
+
+@pytest.mark.parametrize("argv, size", [
+    # every band but the largest
+    (["tail", "--p", "0.5", "--gamma", "0.7", "--m-max"], N),
+    # cells >= 1e-4, then the positional band, then the 1e-9 <= x < 1e-5 one
+    (["tail", "--p", "0.95", "--gamma", "1", "--m-max"], N),
+    # log form from n = 150 on
+    (["growing-pmf", "--q", "0.5", "--gamma", "1", "--n-max"], N),
+    # log form from h = 213 on; h runs from 0
+    (["hirsch-pmf", "--p", "0.5", "--q", "0.5", "--h-max"], N - 1),
+], ids=["tail-mixed", "tail-bands", "growing-pmf", "hirsch-pmf"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_run_streams_through_current_stdout(capsys, fmt):
-    argv = ["tail", "--p", "0.5", "--gamma", "0.7", "--m-max", str(cli._BLOCK + 2),
-            "--format", fmt]
+def test_run_streams_through_current_stdout(capsys, argv, size, fmt):
+    argv = argv + [str(size), "--format", fmt]
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
-    result = cli._cmd_tail(cli._build_parser().parse_args(argv))
+    args = cli._build_parser().parse_args(argv)
+    result = args.func(args)
+    assert [len(column) for column in result.columns.values()] == [N]
     render = oracles.render_json if fmt == "json" else oracles.render_csv
-    assert out == render(result)
+    assert_same_text(out, render(result))

@@ -526,9 +526,11 @@ class TestConditionalPmf:
 
 
 class TestAsymptoticShape:
-    def test_gamma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            tc.log_asym_pmf_shape(TrialChainParams(0.5, 0.0), 100)
+    @pytest.mark.parametrize("gamma", [0.0, 1e-10])
+    def test_gamma_zero_rejected(self, gamma):
+        # every gamma <= 1e-9 is classified as geometric
+        with pytest.raises(ValueError, match=f"gamma = {gamma!r} is within 1e-09 of 0"):
+            tc.log_asym_pmf_shape(TrialChainParams(0.5, gamma), 100)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -633,14 +635,16 @@ class TestEstimateConstant:
         assert est.regime is Regime.FRACTIONAL_NON_INTEGER
         assert all(math.isfinite(r) for r in est.log_ratios)
 
-    def test_grid_validation(self):
-        params = TrialChainParams(0.5, 0.7)
-        with pytest.raises(ValueError):
-            tc.estimate_constant(params, grid=(1000, 10_000))
-        with pytest.raises(ValueError):
-            tc.estimate_constant(params, grid=(10_000, 3000, 1000))
-        with pytest.raises(ValueError):
-            tc.estimate_constant(params, grid=(10, 100, 500))
+    @pytest.mark.parametrize("grid, message", [
+        ((1000, 10_000), "increasing"),
+        ((10_000, 3000, 1000), "increasing"),
+        ((1000, 1000, 1000), "increasing"),
+        ((1, 1000, 10_000), "increasing"),
+        ((10, 100, 500), ">= 1000"),
+    ])
+    def test_grid_validation(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            tc.estimate_constant(TrialChainParams(0.5, 0.7), grid=grid)
 
 
 def _truncated_pgf(params, z, order=512):
