@@ -16,54 +16,36 @@ Layout:
 - `cli`: `citechain` command-line interface over all of the above.
 """
 
-from .author_model import AuthorParams, author_pmf, author_pmf_series
-from .hirsch import HirschMode, HirschParams, hirsch_pmf
-from .scientometrics import AuthorRecord, ReportTable, load_dataset, report
-from .tables import PmfTable
-from .trial_chain import (
-    GrowingChainParams,
-    Regime,
-    TrialChainParams,
-    classify_regime,
-    estimate_constant,
-    growing_pmf,
-    improper_mass,
-    log_pmf,
-    log_tail,
-    pmf,
-    pmf_table,
-    sample_many,
-    sibuya_tail_closed,
-    tail,
-)
+import importlib
+
+# the public names by defining submodule, each imported on first use
+# (PEP 562) so that `import citechain` alone loads no numpy: the process
+# entry, `__main__`, must configure numpy's BLAS before it loads
+_EXPORTS = {
+    "author_model": ["AuthorParams", "author_pmf", "author_pmf_series"],
+    "hirsch": ["HirschMode", "HirschParams", "hirsch_pmf"],
+    "scientometrics": ["AuthorRecord", "ReportTable", "load_dataset", "report"],
+    "tables": ["PmfTable"],
+    "trial_chain": [
+        "GrowingChainParams", "Regime", "TrialChainParams", "classify_regime",
+        "estimate_constant", "growing_pmf", "improper_mass", "log_pmf", "log_tail",
+        "pmf", "pmf_table", "sample_many", "sibuya_tail_closed", "tail",
+    ],
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorParams",
-    "AuthorRecord",
-    "GrowingChainParams",
-    "HirschMode",
-    "HirschParams",
-    "PmfTable",
-    "Regime",
-    "ReportTable",
-    "TrialChainParams",
-    "__version__",
-    "author_pmf",
-    "author_pmf_series",
-    "classify_regime",
-    "estimate_constant",
-    "growing_pmf",
-    "hirsch_pmf",
-    "improper_mass",
-    "load_dataset",
-    "log_pmf",
-    "log_tail",
-    "pmf",
-    "pmf_table",
-    "report",
-    "sample_many",
-    "sibuya_tail_closed",
-    "tail",
-]
+__all__ = sorted([*_SOURCE, "__version__"])
+
+
+def __getattr__(name: str) -> object:
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

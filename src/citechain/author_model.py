@@ -70,14 +70,20 @@ def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
     costs O(s_max K), with K about 690 / -ln(1-q).  Since
     b_{k+1}/b_k < 1-q and |a_s| <= 1, the dropped terms move each
     coefficient by less than b_K/q < 1e-300/q in absolute terms.
+
+    The product runs through BLAS, which OpenBLAS splits across its threads
+    once a dot product passes 10,000 terms: at q below about 0.067 with
+    s_max above 10,000, the last bits of the result follow the host's BLAS
+    thread count.  The CLI pins one thread, so its bytes do not.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max!r}")
     p, q = params.p, params.q
-    a = np.empty(s_max + 1)
-    a[0] = 1.0
+    # both recurrences run on Python floats: numpy scalar indexing would
+    # double the cost for the same bits
+    a = [1.0]
     for s in range(s_max):
-        a[s + 1] = a[s] * (s - p) / (s + 1)
+        a.append(a[s] * (s - p) / (s + 1))
     b = [1.0]
     for s in range(s_max):
         b_next = b[s] * (p + s) * (1.0 - q) / (s + 1)

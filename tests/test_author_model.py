@@ -102,6 +102,28 @@ class TestPmf:
         series = am.author_pmf_series(AuthorParams(p, q), s_max)
         np.testing.assert_allclose(series[1:], full[1:], rtol=8 * sys.float_info.epsilon, atol=0)
 
+    @pytest.mark.parametrize(
+        "p,s_max", [(0.5, 0), (0.5, 1), (0.2, 2), (0.8, 150), (0.5, 3000), (0.5, 20000)]
+    )
+    def test_series_bytes_match_numpy_scalar_recurrence(self, p, s_max):
+        # the a recurrence runs on Python floats; the same recurrence on
+        # numpy scalars, into a preallocated array, gives the same bits
+        q = 0.5
+        a = np.empty(s_max + 1)
+        a[0] = 1.0
+        for s in range(s_max):
+            a[s + 1] = a[s] * (s - p) / (s + 1)
+        b = [1.0]
+        for s in range(s_max):
+            b_next = b[s] * (p + s) * (1.0 - q) / (s + 1)
+            if b_next < am._B_FLOOR:
+                break
+            b.append(b_next)
+        expected = -((1.0 - q) ** p) * np.convolve(a, b)[: s_max + 1]
+        expected[0] = -math.expm1(p * math.log1p(-q))
+        series = am.author_pmf_series(AuthorParams(p, q), s_max)
+        assert series.tobytes() == expected.tobytes()
+
     def test_pmf_reads_series(self):
         params = AuthorParams(0.3, 0.7)
         series = am.author_pmf_series(params, 300)

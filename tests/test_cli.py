@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -439,3 +440,21 @@ class TestSubprocess:
             capture_output=True,
         )
         assert proc.returncode == 1
+
+    def test_bytes_do_not_follow_blas_threads(self):
+        # at q = 0.05 the author series' dot products pass 10,000 terms past
+        # s = 10,000, where a multi-threaded OpenBLAS splits them and rounds
+        # differently; the entry pins one thread whatever the environment says
+        argv = [
+            sys.executable, "-m", "citechain", "author-pmf", "--p", "0.5", "--q", "0.05",
+            "--s-max", "20000", "--format", "csv",
+        ]
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        outs = [
+            subprocess.run(argv, capture_output=True, check=True, env=run_env).stdout
+            for run_env in (
+                dict(env, OPENBLAS_NUM_THREADS="1"), dict(env, OPENBLAS_NUM_THREADS="2"), env
+            )
+        ]
+        assert outs[1] == outs[0]
+        assert outs[2] == outs[0]
