@@ -330,10 +330,6 @@ def _csv_text(result: _Result, head: str, tail: str) -> Iterator[str]:
     yield tail
 
 
-def _log_or_neg_inf(value: float) -> float:
-    return math.log(value) if value > 0.0 else -math.inf
-
-
 def _parse_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -343,19 +339,14 @@ def _parse_grid(text: str) -> tuple[int, ...]:
 
 def _cmd_pmf(a) -> _Result:
     params = trial_chain.TrialChainParams(a.p, a.gamma)
-    table = trial_chain.pmf_table(params, a.n_max)
-    log_probs = table.log_probs
-    log_tail = table.log_tail
-    if a.conditional:
-        if a.gamma <= 1.0:
-            raise ValueError("--conditional requires gamma > 1 (improper regime)")
-        mass = trial_chain.improper_mass(params)
-        log_probs = log_probs - math.log1p(-mass)
-        log_tail = _log_or_neg_inf(max(0.0, (table.tail - mass) / (1.0 - mass)))
+    if a.conditional and a.gamma <= 1.0:
+        raise ValueError("--conditional requires gamma > 1 (improper regime)")
+    table = (trial_chain.conditional_pmf_table if a.conditional else trial_chain.pmf_table)(
+        params, a.n_max)
     return _table(
         "pmf",
         {"p": a.p, "gamma": a.gamma, "n_max": a.n_max, "conditional": bool(a.conditional)},
-        "n", 1, log_probs, tail=_Column([log_tail], logs=True),
+        "n", 1, table.log_probs, tail=_Column([table.log_tail], logs=True),
     )
 
 

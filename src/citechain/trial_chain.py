@@ -35,6 +35,7 @@ __all__ = [
     "TrialChainParams",
     "classify_regime",
     "conditional_pmf",
+    "conditional_pmf_table",
     "estimate_constant",
     "growing_pmf",
     "growing_tail",
@@ -208,8 +209,9 @@ def _log_survival_prefix(params: _ChainParams, n_max: int) -> np.ndarray:
     numbers, for the 32 most recently used chains.  A request past its end
     resumes the scan from the stored Neumaier state, so every S[j] is
     bit-identical to one long scan whatever the order of requests.  A first
-    request computes exactly n_max terms; a longer one grows the scan to
-    max(n_max, twice its length), so a loop over n costs O(n) in all.
+    request grows the empty chain S[0] = 0 and so computes exactly n_max
+    terms; a longer one grows the scan to max(n_max, twice its length), so
+    a loop over n costs O(n) in all.
     Returns a read-only view of length n_max + 1.
     `cache_info()` and `cache_clear()` work as for `functools.lru_cache`.
     """
@@ -220,10 +222,8 @@ def _log_survival_prefix(params: _ChainParams, n_max: int) -> np.ndarray:
             _prefix_counts[0] += 1
         else:
             _prefix_counts[1] += 1
-            if chain is None:
-                chain = _extend_prefix(params, np.zeros(1), 0.0, 0.0, n_max)
-            else:
-                chain = _extend_prefix(params, *chain, max(n_max, 2 * (chain[0].size - 1)))
+            prefix, s, c = chain or (np.zeros(1), 0.0, 0.0)
+            chain = _extend_prefix(params, prefix, s, c, max(n_max, 2 * (prefix.size - 1)))
         _prefix_chains[key] = chain
         if len(_prefix_chains) > _PREFIX_CHAINS:
             _prefix_chains.popitem(last=False)
@@ -318,15 +318,7 @@ def _log_sibuya_tail(p: float, m):
 def improper_mass(params: TrialChainParams) -> float:
     """P{X = infinity} = prod_k (1 - p/k^gamma); zero in proper regimes.
 
-    The k = 1 factor is taken exactly and the rest expanded termwise:
-
-        -ln prod = -ln(1 - p) + sum_{j>=1} (p^j / j) (zeta(gamma j) - 1),
-
-    with zeta(s) - 1 summed from k = 2, so it never comes from cancelling
-    the leading 1.  Each term is at most r = p 2^-gamma < 1/2 times the one
-    before, so the series converges geometrically for every p < 1; terms are
-    added until the remainder bound term r/(1-r) is at most 1e-17 of the
-    total (fewer than 60 terms), and the parts are summed with math.fsum.
+    The log comes from the series of `_log_improper_mass` at n = 0.
     """
     if params.gamma <= 1.0:
         return 0.0
@@ -334,26 +326,65 @@ def improper_mass(params: TrialChainParams) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _log_improper_mass(params: TrialChainParams) -> float:
-    """ln P{X = infinity} for gamma > 1, by the series of `improper_mass`."""
+def _log_improper_mass(params: TrialChainParams, n: int = 0) -> float:
+    """ln P{X = infinity | X > n} = sum_{k>n} ln(1 - p/k^gamma), for gamma > 1.
+
+    The k = n + 1 factor is taken exactly and the rest expanded termwise:
+
+        -ln prod = -ln(1 - p/(n+1)^gamma) + sum_{j>=1} (p^j / j) zeta(gamma j, n + 2),
+
+    with zeta(s, n + 2) = sum_{k>=n+2} k^-s, so the product is never formed
+    by cancelling a leading 1.  Each term is at most r = p (n+2)^-gamma < 1/2
+    times the one before, so the series converges geometrically for every
+    p < 1; terms are added until the remainder bound term r/(1-r) is at most
+    1e-17 of the total (fewer than 60 terms), and the parts are summed with
+    math.fsum.
+    """
     p, gamma = params.p, params.gamma
-    r = p * 2.0**-gamma
-    parts = [-math.log1p(-p)]
+    r = p * (n + 2.0) ** -gamma
+    parts = [-math.log1p(-p * (n + 1.0) ** -gamma)]
     total = parts[0]
     for j in itertools.count(1):
-        term = p**j / j * specfun.riemann_zeta(gamma * j, start=2)
+        term = p**j / j * specfun.riemann_zeta(gamma * j, start=n + 2)
         parts.append(term)
         total += term
         if term * r / (1.0 - r) <= 1e-17 * total:
             return -math.fsum(parts)
 
 
+def _log1mexp(x: float) -> float:
+    """ln(1 - e^x) for x <= 0, accurate on both sides of x = -ln 2 (Maechler 2012)."""
+    if x == 0.0:
+        return -math.inf
+    return math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x))
+
+
 def conditional_pmf(params: TrialChainParams, n: int) -> float:
-    """P{X = n | X < infinity} for improper chains (gamma > 1)."""
+    """P{X = n | X < infinity} for improper chains (gamma > 1).
+
+    The shift ln P{X < infinity} is ln(1 - P{X = infinity}) from the log of
+    the improper mass, so it keeps its digits as that mass nears 0 or 1.
+    """
     if params.gamma <= 1.0:
         raise ValueError("conditional_pmf requires gamma > 1")
-    mass = improper_mass(params)
-    return math.exp(log_pmf(params, n) - math.log1p(-mass))
+    return math.exp(log_pmf(params, n) - _log1mexp(_log_improper_mass(params)))
+
+
+def conditional_pmf_table(params: TrialChainParams, n_max: int) -> PmfTable:
+    """`pmf_table` of P{X = n | X < infinity}, n = 1..n_max, for gamma > 1.
+
+    Every entry is shifted by ln P{X < infinity}, as in `conditional_pmf`.
+    The tail P{n_max < X < infinity} is the product
+    P{X > n_max} (1 - P{X = infinity | X > n_max}), never the difference of
+    two numbers near the improper mass, so it keeps its relative digits
+    where it is far below that mass.
+    """
+    if params.gamma <= 1.0:
+        raise ValueError("conditional_pmf_table requires gamma > 1")
+    table = pmf_table(params, n_max)
+    shift = _log1mexp(_log_improper_mass(params))
+    log_tail = table.log_tail + _log1mexp(_log_improper_mass(params, n_max))
+    return PmfTable(start=1, log_probs=table.log_probs - shift, log_tail=log_tail - shift)
 
 
 def _fractional_exponent_sum(p: float, gamma: float, n: float, j_max: int) -> float:
@@ -429,7 +460,7 @@ def _log_ratios(
     params: TrialChainParams, grid: tuple[int, ...], branch: Regime | None = None
 ) -> tuple[float, ...]:
     improper = params.gamma > 1.0 + _INTEGER_TOL
-    shift = math.log1p(-improper_mass(params)) if improper else 0.0
+    shift = _log1mexp(_log_improper_mass(params)) if improper else 0.0
     return tuple(
         log_pmf(params, n) - shift - log_asym_pmf_shape(params, n, branch=branch)
         for n in grid

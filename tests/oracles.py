@@ -3,6 +3,10 @@
 - `author_pmf_closed`: P{S = s} of the compound author law through its
   terminating-2F1 closed form, an evaluation route independent of the
   convolution series in `citechain.author_model`.
+- `conditional_law_mp`: P{X < inf} and the conditional tail
+  P{X > n | X < inf} of an improper chain to about 40 digits with mpmath,
+  from Hurwitz zeta values, the reference for the float route in
+  `citechain.trial_chain`.
 - `compose_pgf`: coefficients of the composed generating function
   outer(inner(z)), the numeric route to the same compound law.
 - `hirsch_pmf_direct`: P{H = h} by explicit summation over the paper count,
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -69,6 +74,33 @@ def author_pmf_closed(p: float, q: float, s: int) -> float:
     """
     sign = -1.0 if s % 2 == 0 else 1.0
     return (1.0 - q) ** p * sign * gen_binomial(p, s) * hyp2f1_terminating(p, s, 1.0 + p - s, 1.0 - q)
+
+
+def conditional_law_mp(p: float, gamma: float, n: int) -> tuple[float, float]:
+    """(P{X < inf}, P{X > n | X < inf}) for p / k^gamma with gamma > 1, at 50 digits.
+
+    ln P{X = inf | X > m} = sum_{k>m} ln(1 - p k^-gamma) takes 20 factors
+    directly and the rest from -sum_j (p^j / j) zeta(gamma j, m + 21); then
+    P{X > n} = P{X = inf} / P{X = inf | X > n}.  Needs mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        pm, g = mpmath.mpf(p), mpmath.mpf(gamma)
+
+        def log_mass_past(m):
+            total = mpmath.fsum(mpmath.log1p(-pm * mpmath.mpf(k) ** -g)
+                                for k in range(m + 1, m + 21))
+            for j in itertools.count(1):
+                term = pm**j / j * mpmath.zeta(g * j, m + 21)
+                total -= term
+                if term < mpmath.mpf(10) ** -50 * abs(total):
+                    return total
+
+        log_all, log_past = log_mass_past(0), log_mass_past(n)
+        finite = -mpmath.expm1(log_all)
+        tail = mpmath.exp(log_all - log_past) * -mpmath.expm1(log_past) / finite
+        return float(finite), float(tail)
 
 
 def compose_pgf(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:

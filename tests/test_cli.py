@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from citechain import cli
+import oracles
+from citechain import cli, streams
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,34 @@ class TestPmfCommand:
         p = env["payload"]
         assert sum(p["probabilities"]) + p["tail"] == pytest.approx(1.0, abs=1e-9)
         assert p["probabilities"][0] == pytest.approx(0.5 / (1.0 - 0.3581877860132440177))
+
+    def test_conditional_tail_cell_against_mpmath(self, capsys):
+        # the tail lies 16 orders below the improper mass: a difference of
+        # two numbers near that mass would leave it 39% off
+        pytest.importorskip("mpmath")
+        code, out, err = run_cli(
+            capsys, "pmf", "--p", "0.5", "--gamma", "4", "--n-max", "100000", "--conditional",
+            "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        label, cell = out.splitlines()[-1].split(",")
+        _, want = oracles.conditional_law_mp(0.5, 4.0, 10**5)
+        assert label == "tail" and float(cell) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the improper mass rounds to 1.0, so ln(1 - mass) must come from its log
+            ("--p", "1e-300", "--gamma", "2", "--n-max", "3"),
+            # 1 - P{X = inf | X > 100} underflows; the tail prints 0.0
+            ("--p", "0.5", "--gamma", "200", "--n-max", "100"),
+        ],
+    )
+    def test_conditional_extremes(self, capsys, argv, fmt):
+        code, out, err = run_cli(capsys, "pmf", *argv, "--conditional", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert "nan" not in out.lower() and "inf" not in out.lower()
 
     def test_deep_cell_emitted_in_log_form(self, capsys):
         env = run_json(capsys, "pmf", "--p", "0.999", "--gamma", "0", "--n-max", "200")
@@ -315,6 +344,8 @@ class TestSampleCommand:
             "--count", "0", "--seed", "1",
         )
         assert code == 1 and "count" in err
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            streams.derive_streams(1, -1)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("q", ["0.5", "nan"])

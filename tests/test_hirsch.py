@@ -36,6 +36,8 @@ class TestParams:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="citation_cap"):
             hirsch.simulate_hirsch_many(HALF_HALF, rng, 10, citation_cap=0)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            hirsch.simulate_hirsch_many(HALF_HALF, rng, -1)
         assert rng.bit_generator.state == state  # raised before any draw
         argv = ["sample", "--model", "hirsch", "--p", "0.5", "--q", "0.5",
                 "--count", "10", "--seed", "1", "--cap", "0"]

@@ -100,7 +100,8 @@ class TestCsvLoading:
         assert loaded == rows
 
     def test_crlf_and_trailing_newline(self, tmp_path):
-        body = self.HEADER + "\r\n1,100,10,50\r\n"
+        # blank and whitespace-only rows are skipped
+        body = self.HEADER + "\r\n1,100,10,50\r\n\r\n  \r\n"
         loaded = sm.load_dataset(self.write(tmp_path, body))
         assert loaded == [AuthorRecord(1, 100, 10, 50)]
 

@@ -140,10 +140,18 @@ class TestRiemannZeta:
         assert sf.riemann_zeta(1e300) == 1.0
         assert sf.riemann_zeta(1e300, start=2) == 0.0
 
-    @pytest.mark.parametrize("start", [0, 24])
-    def test_start_domain(self, start):
+    def test_start_domain(self):
         with pytest.raises(ValueError):
-            sf.riemann_zeta(2.0, start=start)
+            sf.riemann_zeta(2.0, start=0)
+
+    @pytest.mark.parametrize("start", [24, 10**6])
+    @pytest.mark.parametrize("s", [0.5, 1.000001, 1.5, 2.0, 4.0, 10.0])
+    def test_start_past_split_against_mpmath(self, s, start):
+        # from start = 24 on, the Euler-Maclaurin split moves to start
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.zeta(s, start))
+        assert sf.riemann_zeta(s, start=start) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def _harmonic_partial_asymptote(s, n):

@@ -114,10 +114,11 @@ class TestExactEvaluators:
         assert tc.tail(params, n) == pytest.approx(tail_brute(p, gamma, n), rel=5e-13)
 
     def test_domain_errors(self):
-        params = TrialChainParams(0.5, 1.0)
-        for fn in (tc.pmf, tc.log_pmf, tc.tail, tc.log_tail):
-            with pytest.raises(ValueError):
-                fn(params, 0)
+        # gamma = 0 takes the closed geometric forms, with their own checks
+        for params in (TrialChainParams(0.5, 1.0), TrialChainParams(0.5, 0.0)):
+            for fn in (tc.pmf, tc.log_pmf, tc.tail, tc.log_tail, tc.tail_table):
+                with pytest.raises(ValueError):
+                    fn(params, 0)
 
     def test_log_pmf_survives_underflow(self):
         params = TrialChainParams(0.999, 0.0)
@@ -491,6 +492,27 @@ class TestImproperMass:
     def test_huge_gamma_keeps_only_the_first_factor(self):
         assert tc.improper_mass(TrialChainParams(0.25, 1e300)) == 0.75
 
+    # ln P{X = infinity}, captured before the series took a start index n;
+    # at n = 0 its first factor and its zeta terms are the same floats
+    LOG_MASS_BITS = {
+        1e-06: ("-0x1.a5dabec5eea7cp-14", "-0x1.5ea08ddcd7abcp-19",
+                "-0x1.b98f0ba7aef94p-20", "-0x1.28f79569ec07cp-20"),
+        0.1: ("-0x1.421f94e92e33bp+3", "-0x1.120cd10cc9643p-2",
+              "-0x1.5cb7439ae5e46p-3", "-0x1.db389ea8d6001p-4"),
+        0.37: ("-0x1.2ad1ef44315eep+5", "-0x1.12ce37daea438p+0",
+               "-0x1.69c8b8de2a883p-1", "-0x1.00ebbd3c515cdp-1"),
+        0.9: ("-0x1.70f9a36175f35p+6", "-0x1.ed22e143629a1p+1",
+              "-0x1.75f03f738f2c5p+1", "-0x1.33509ef129cb8p+1"),
+        0.999: ("-0x1.ab2eb55767bbep+6", "-0x1.1497649abc691p+3",
+                "-0x1.e668e6250856fp+2", "-0x1.c11a302d40cdcp+2"),
+    }
+
+    @pytest.mark.parametrize("p", sorted(LOG_MASS_BITS))
+    def test_series_bits_at_start(self, p):
+        got = [tc._log_improper_mass.__wrapped__(TrialChainParams(p, gamma)).hex()
+               for gamma in (1.01, 1.5, 2.0, 3.7)]
+        assert got == list(self.LOG_MASS_BITS[p])
+
 
 class TestConditionalPmf:
     def test_improper_mass_series_summed_once(self):
@@ -498,13 +520,43 @@ class TestConditionalPmf:
         tc._log_improper_mass.cache_clear()
         values = [tc.conditional_pmf(params, n) for n in range(1, 51)]
         assert tc._log_improper_mass.cache_info().misses == 1
-        mass = math.exp(tc._log_improper_mass.__wrapped__(params))
-        assert values == [math.exp(tc.log_pmf(params, n) - math.log1p(-mass))
+        log_mass = tc._log_improper_mass.__wrapped__(params)
+        assert log_mass > -math.log(2.0)  # the mass is above 1/2: the expm1 branch
+        assert values == [math.exp(tc.log_pmf(params, n) - math.log(-math.expm1(log_mass)))
                           for n in range(1, 51)]
 
     def test_requires_improper(self):
-        with pytest.raises(ValueError):
-            tc.conditional_pmf(TrialChainParams(0.5, 1.0), 3)
+        for fn in (tc.conditional_pmf, tc.conditional_pmf_table):
+            with pytest.raises(ValueError, match="requires gamma > 1"):
+                fn(TrialChainParams(0.5, 1.0), 3)
+
+    # (p, gamma, n_max); a tail formed as (P{X > n_max} - mass) / (1 - mass)
+    # would be 7e-12, 8e-5 and 39% off at the second, third and fourth
+    @pytest.mark.parametrize("p,gamma,n_max", [
+        (0.5, 2.0, 20), (0.5, 2.0, 10**5), (0.5, 3.0, 10**6), (0.5, 4.0, 10**5),
+        (0.9, 1.5, 10**3), (0.2, 6.0, 50), (0.7, 2.5, 3 * 10**5),
+    ])
+    def test_table_tail_against_mpmath(self, p, gamma, n_max):
+        pytest.importorskip("mpmath")
+        _, want = oracles.conditional_law_mp(p, gamma, n_max)
+        table = tc.conditional_pmf_table(TrialChainParams(p, gamma), n_max)
+        assert math.exp(table.log_tail) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_table_matches_scalars(self):
+        params = TrialChainParams(0.5, 2.0)
+        table = tc.conditional_pmf_table(params, 2000)
+        want = [tc.conditional_pmf(params, n) for n in range(1, 2001)]
+        assert table.probs == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert table.total_mass() == pytest.approx(1.0, abs=1e-13)
+
+    # the mass nears 1: log1p(-mass) from the rounded mass would be 1.9e-9
+    # off at p = 1e-8 and 3.7e-7 off at p = 1e-10
+    @pytest.mark.parametrize("p,gamma", [(1e-4, 2.0), (1e-8, 2.0), (1e-10, 3.0)])
+    def test_small_p_first_value_against_mpmath(self, p, gamma):
+        pytest.importorskip("mpmath")
+        finite, _ = oracles.conditional_law_mp(p, gamma, 1)
+        value = tc.conditional_pmf(TrialChainParams(p, gamma), 1)
+        assert value == pytest.approx(p / finite, rel=1e-14, abs=0.0)
 
     def test_p_near_one(self):
         value = tc.conditional_pmf(TrialChainParams(0.997, 3.0), 5)
