@@ -2,11 +2,13 @@
 
 Layout:
 
-- `specfun`: the log-gamma ratio and Riemann zeta, tuned for the ranges the
-  distribution code needs (log-gamma itself is `math.lgamma`).
+- `specfun`: the log-gamma ratio and the power sum sum_{k=start}^{stop} k^-s
+  (Riemann zeta at stop = inf), tuned for the ranges the distribution code
+  needs (log-gamma itself is `math.lgamma`).
 - `trial_chain`: first-success laws with success probability p/k^gamma,
-  their tails, asymptotic shapes, improper mass, the sampler, and the
-  growing-probability variant.
+  their tails, asymptotic shapes, improper mass, the sampler (a table of
+  4,096 terms, then the closed survival), and the growing-probability
+  variant.
 - `author_model`: compound law of total citations for an author whose
   paper count follows the gamma = 1 chain, by one convolution series.
 - `hirsch`: analytic h-index distribution under the chain model plus

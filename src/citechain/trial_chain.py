@@ -307,12 +307,7 @@ def sibuya_tail_closed(p: float, m: int) -> float:
         raise ValueError(f"p must be in (0, 1), got {p!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
-    return math.exp(_log_sibuya_tail(p, m))
-
-
-def _log_sibuya_tail(p: float, m):
-    """ln A(m) of `sibuya_tail_closed`, unchecked: m >= 1, or the sampler's array of m >= 30."""
-    return specfun.log_gamma_ratio(m, p) - math.lgamma(1.0 - p)
+    return math.exp(specfun.log_gamma_ratio(m, p) - math.lgamma(1.0 - p))
 
 
 def improper_mass(params: TrialChainParams) -> float:
@@ -320,36 +315,47 @@ def improper_mass(params: TrialChainParams) -> float:
 
     The log comes from the series of `_log_improper_mass` at n = 0.
     """
-    if params.gamma <= 1.0:
-        return 0.0
-    return math.exp(_log_improper_mass(params))
+    return math.exp(_log_improper_mass(params)) if params.gamma > 1.0 else 0.0
 
 
 @functools.lru_cache(maxsize=32)
 def _log_improper_mass(params: TrialChainParams, n: int = 0) -> float:
     """ln P{X = infinity | X > n} = sum_{k>n} ln(1 - p/k^gamma), for gamma > 1.
 
-    The k = n + 1 factor is taken exactly and the rest expanded termwise:
-
-        -ln prod = -ln(1 - p/(n+1)^gamma) + sum_{j>=1} (p^j / j) zeta(gamma j, n + 2),
-
-    with zeta(s, n + 2) = sum_{k>=n+2} k^-s, so the product is never formed
-    by cancelling a leading 1.  Each term is at most r = p (n+2)^-gamma < 1/2
-    times the one before, so the series converges geometrically for every
-    p < 1; terms are added until the remainder bound term r/(1-r) is at most
-    1e-17 of the total (fewer than 60 terms), and the parts are summed with
-    math.fsum.
+    The k = n + 1 factor is taken exactly and the rest is the series of
+    `_failure_series` from k = n + 2, so the product is never formed by
+    cancelling a leading 1; its parts are summed with math.fsum.
     """
-    p, gamma = params.p, params.gamma
-    r = p * (n + 2.0) ** -gamma
-    parts = [-math.log1p(-p * (n + 1.0) ** -gamma)]
-    total = parts[0]
+    head = math.log1p(-params.p * (n + 1.0) ** -params.gamma)
+    return math.fsum(_failure_series(params, n + 2, math.inf, head))
+
+
+def _failure_series(params: TrialChainParams, start: int, stop, head):
+    """The parts of head + sum_{k=start}^{stop} ln(1 - p/k^gamma), gamma > 0.
+
+    ln(1 - x) = -sum_j x^j / j turns the sum into
+
+        head - sum_{j>=1} (p^j / j) zeta(gamma j, start, stop),
+
+    with zeta the power sum `specfun.riemann_zeta`; `stop` is inf, a float
+    or an array of them, at least max(24, start).  Each term is at most
+    r = p start^-gamma times the one before, so the series converges
+    geometrically; terms are added until the remainder bound term r/(1-r)
+    is at most 1e-17 of the running total (for every stop).  For the
+    improper mass (gamma > 1, start >= 2) r < 1/2, so fewer than 60 terms;
+    past the sampler's table r < 0.009, as a draw lies there only if
+    ln P{X > 4096} >= ln 2^-53, so about 9.  Returns [head, term 1, ...],
+    the terms negative.
+    """
+    r = params.p * float(start) ** -params.gamma
+    parts, total = [head], head
     for j in itertools.count(1):
-        term = p**j / j * specfun.riemann_zeta(gamma * j, start=n + 2)
+        term = -(params.p**j / j) * specfun.riemann_zeta(params.gamma * j, start, stop)
         parts.append(term)
         total += term
-        if term * r / (1.0 - r) <= 1e-17 * total:
-            return -math.fsum(parts)
+        small = term * r / (1.0 - r) >= 1e-17 * total  # numpy's bool for an array stop
+        if small is not False and (small is True or small.all()):
+            return parts
 
 
 def _log1mexp(x: float) -> float:
@@ -530,11 +536,20 @@ def sample_many(
     first m with ln P{X > m} < log1p(-U_i), so it depends only on the
     generator state and i, not on n.  ln P{X > m} is the survival prefix:
     in closed form at gamma = 0 (geometric), otherwise searched in a table
-    of min(cap, 4096) terms that grows fourfold only while some draw lies
-    past its end.  At gamma = 1 the table does not grow; draws past it
-    bisect the closed Sibuya tail Gamma(m+1-p) / (Gamma(m+1) Gamma(1-p)).
-    At gamma > 1 a draw with log1p(-U) <= ln P{X = infinity} never
-    succeeds and is censored without a search.
+    of min(cap, 4096) terms, which never grows.  Past the table's end, for
+    every gamma > 0, it is the closed survival: the table's last entry plus
+    `_failure_series` from k = 4097 to m.  A draw with
+    ln P{X > cap} >= log1p(-U_i) is censored, which at gamma > 1 covers the
+    draws that never succeed.  Every other draw past the table keeps a
+    bracket lo < m <= hi with ln P{X > lo} >= log1p(-U_i) > ln P{X > hi}.
+    A step tries the point where log1p(-U_i) falls on the line through the
+    bracket's ends in u = m^(1-gamma) / (1-gamma) (ln m at gamma = 1), in
+    which ln P{X > m} is nearly linear, together with the m above it, so a
+    good guess ends the search in one step (inversion by a search from a
+    good start, Devroye 1986, ch. III).  Where a step kept more than half
+    its bracket, the next one bisects, so the search ends for every cap.
+    Draws far out, around m = 2^42 and beyond, are as exact as float64
+    resolves ln P{X > m}: neighbouring m lie closer together there.
 
     Returns (values, censored): values[i] is the first-success index, valid
     where ~censored[i]; censored draws have no success in the first `cap`
@@ -551,41 +566,42 @@ def sample_many(
         below = np.floor(t / math.log1p(-p))
         censored = below >= cap
         return np.where(censored, 0.0, below + 1.0).astype(np.int64), censored
-    values = np.zeros(n, dtype=np.int64)
-    censored = t <= _log_improper_mass(params) if gamma > 1.0 else np.zeros(n, dtype=bool)
-    todo = np.flatnonzero(~censored)
     size = min(cap, _SAMPLE_TABLE)
-    while True:
-        prefix = _log_survival_prefix(params, size)
-        m = np.searchsorted(-prefix, -t[todo], side="right")
-        found = m <= size
-        values[todo[found]] = m[found]
-        todo = todo[~found]
-        if not todo.size or size == cap:
-            break
-        if gamma == 1.0:
-            values[todo], censored[todo] = _sibuya_search(p, t[todo], size, cap)
-            return values, censored
-        size = min(cap, 4 * size)
-    censored[todo] = True
+    prefix = _log_survival_prefix(params, size)
+    values = np.searchsorted(-prefix, -t, side="right")
+    censored = values > size
+    past = np.flatnonzero(censored)
+    if past.size and size < cap:
+
+        def log_survival(m):  # ln P{X > m} past the table, m an array or a float
+            return sum(_failure_series(params, size + 1, m, prefix[size])[::-1])
+
+        c = 1.0 - gamma
+
+        def u(m):  # (m^c - 1) / c, ln m at gamma = 1; expm1 keeps it exact near there
+            return np.log(m) if c == 0.0 else np.expm1(c * np.log(m)) / c
+
+        s_cap = log_survival(float(cap))
+        past = past[t[past] > s_cap]  # the rest stay censored
+        censored[past], t, bisect = False, t[past], np.zeros(past.size, dtype=bool)
+        lo, hi = np.full(past.size, size), np.full(past.size, cap)
+        s_lo, s_hi = np.full(past.size, prefix[size]), np.full(past.size, s_cap)
+        while (act := np.flatnonzero(hi - lo > 1)).size:
+            a, b, s_a, s_b, t_act = (x[act] for x in (lo, hi, s_lo, s_hi, t))
+            v = u(a) + (s_a - t_act) / (s_a - s_b) * (u(b) - u(a))
+            # cast below 2^63, then clip in the int domain, where b - 1 is exact
+            guess = np.minimum(np.exp(v if c == 0.0 else np.log1p(c * v) / c), 2.0**62)
+            mid = np.where(bisect[act], a + (b - a) // 2, guess.astype(np.int64).clip(a + 1, b - 1))
+            s_mid = log_survival(mid)
+            s_next = s_mid + np.log1p(-p * (mid + 1.0) ** -gamma)
+            # below: hi = mid; above: lo = mid + 1; neither: m = mid + 1, found
+            below, above = s_mid < t_act, s_next >= t_act
+            lo[act], s_lo[act] = np.where(below, a, mid + above), np.where(above, s_next, s_a)
+            hi[act], s_hi[act] = np.where(above, b, mid + 1 - below), np.where(below, s_mid, s_b)
+            bisect[act] = hi[act] - lo[act] > (b - a) // 2
+        values[past] = hi
+    values[censored] = 0
     return values, censored
-
-
-def _sibuya_search(
-    p: float, t: np.ndarray, lo: int, cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(first m in lo+1..cap with ln P{X > m} < t, censored) at gamma = 1,
-    for draws with ln P{X > lo} >= t, by bisection of the closed tail."""
-    # ln P{X > m} = ln A(m + 1)
-    censored = _log_sibuya_tail(p, cap + 1.0) >= t
-    lo = np.full(t.size, lo, dtype=np.int64)
-    hi = np.full(t.size, cap, dtype=np.int64)
-    while (hi - lo > 1).any():
-        mid = lo + (hi - lo) // 2
-        below = _log_sibuya_tail(p, mid + 1.0) < t
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-    return np.where(censored, 0, hi), censored
 
 
 # -- growing chains: success probability 1 - q/k^gamma ----------------------

@@ -284,4 +284,4 @@ def test_c10_growing_chain_law():
             ) + trial_chain.growing_tail(params, 51)
             assert abs(total - 1.0) <= 1e-12, (q, gamma, total)
     tail5 = trial_chain.growing_tail(trial_chain.GrowingChainParams(0.5, 1.0), 5)
-    assert tail5 == pytest.approx(0.5**4 / 24.0, rel=1e-14)
+    assert tail5 == pytest.approx(0.5**4 / 24.0, rel=1e-14, abs=0.0)

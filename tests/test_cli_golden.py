@@ -52,6 +52,13 @@ _TABLES = [
      "--seed", "42"],
     ["sample", "--model", "trial", "--p", "0.6", "--gamma", "2", "--count", "20",
      "--seed", "5", "--cap", "50"],
+    # most of these draws lie past the sampler's 4,096-term table
+    ["sample", "--model", "trial", "--p", "0.001", "--gamma", "0.5", "--count", "20",
+     "--seed", "7", "--cap", "10000000"],
+    ["sample", "--model", "trial", "--p", "0.1", "--gamma", "1", "--count", "20",
+     "--seed", "25", "--cap", "1000000"],
+    ["sample", "--model", "trial", "--p", "0.01", "--gamma", "0.9", "--count", "20",
+     "--seed", "7", "--cap", "10000000"],
     ["sample", "--model", "hirsch", "--p", "0.5", "--q", "0.5", "--count", "60",
      "--seed", "11", "--cap", "100000"],
     ["sample", "--model", "hirsch", "--p", "0.5", "--q", "0.5", "--count", "20",

@@ -32,7 +32,7 @@ GAMMA_RATIO_1E6 = 0.0010000003750001953126  # Gamma(1e6 - 0.5)/Gamma(1e6)
 
 class TestGammaRatio:
     def test_example_m2(self):
-        assert math.exp(sf.log_gamma_ratio(2.0, 0.5)) == pytest.approx(GAMMA_15, rel=1e-13)
+        assert math.exp(sf.log_gamma_ratio(2.0, 0.5)) == pytest.approx(GAMMA_15, rel=1e-13, abs=0.0)
 
     def test_small_p_is_one(self):
         assert math.exp(sf.log_gamma_ratio(7.0, 1e-9)) == pytest.approx(1.0, abs=1e-7)
@@ -40,7 +40,7 @@ class TestGammaRatio:
     def test_large_m_asymptote(self):
         ratio = math.exp(sf.log_gamma_ratio(1e6, 0.5))
         assert ratio == pytest.approx(1e-3, rel=1e-6)
-        assert ratio == pytest.approx(GAMMA_RATIO_1E6, rel=1e-12)
+        assert ratio == pytest.approx(GAMMA_RATIO_1E6, rel=1e-12, abs=0.0)
 
     def test_power_invariant(self):
         assert abs(math.exp(sf.log_gamma_ratio(1e4, 0.5)) * 1e4**0.5 - 1.0) < 1e-4
@@ -77,19 +77,6 @@ class TestGammaRatio:
             for m in ms:
                 ref = mpmath.loggamma(mpmath.mpf(m) - mpmath.mpf(p)) - mpmath.loggamma(m)
                 assert abs(mpmath.mpf(sf.log_gamma_ratio(m, p)) - ref) <= 5e-14, m
-
-    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
-    def test_array_matches_scalar_within_2_ulp(self, p):
-        m = np.concatenate((np.arange(30.0, 200.0), np.geomspace(200.0, 1e12, 300)))
-        got = sf.log_gamma_ratio(m, p)
-        want = np.array([sf.log_gamma_ratio(float(x), p) for x in m])
-        assert got.shape == m.shape
-        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
-
-    @pytest.mark.parametrize("low", [29.999, 1.0, 0.5])
-    def test_array_below_30_raises(self, low):
-        with pytest.raises(ValueError, match="every array m >= 30"):
-            sf.log_gamma_ratio(np.array([30.0, 1e3, low]), 0.5)
 
 
 class TestRiemannZeta:
@@ -129,12 +116,17 @@ class TestRiemannZeta:
 
     @pytest.mark.parametrize("s", [1.000001, 1.5, 2.0, 3.0, 10.0])
     def test_start_two_is_zeta_minus_one(self, s):
-        assert sf.riemann_zeta(s, start=2) == pytest.approx(sf.riemann_zeta(s) - 1.0, rel=1e-12)
+        want = sf.riemann_zeta(s) - 1.0
+        assert sf.riemann_zeta(s, start=2) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_start_two_keeps_relative_accuracy(self):
-        # zeta(60) - 1 = 2^-60 (1 + 3^-60 ...) has no digits left after
-        # subtracting 1 from zeta(60)
-        assert sf.riemann_zeta(60.0, start=2) == pytest.approx(2.0**-60, rel=1e-15)
+        # zeta(60) - 1 = 2^-60 (1 + (2/3)^60 ...) has no digits left after
+        # subtracting 1 from zeta(60); abs=0.0, as approx would otherwise
+        # pass any value within 1e-12 of this 8.7e-19
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = float(mpmath.zeta(60) - 1)
+        assert sf.riemann_zeta(60.0, start=2) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_underflowing_argument(self):
         assert sf.riemann_zeta(1e300) == 1.0
@@ -152,6 +144,42 @@ class TestRiemannZeta:
         with mpmath.workdps(40):
             want = float(mpmath.zeta(s, start))
         assert sf.riemann_zeta(s, start=start) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("start", [24, 4097])
+@pytest.mark.parametrize("s", [0.05, 0.35, 0.7, 0.999999, 1.0, 1.000001, 1.3, 2.0, 3.5, 10.0])
+def test_finite_stop_against_mpmath(s, start):
+    # sum_{k=start}^{stop} k^-s for an array of stops from start to 1e12;
+    # the worst case, 3.9e-15 at s = 0.05, is the rounding of the expm1
+    # argument (1-s) ln(stop/start), up to 23 there, carried into its result
+    mpmath = pytest.importorskip("mpmath")
+    stop = np.concatenate(([start, start + 1, start + 7], np.geomspace(start + 100, 1e12, 9)))
+    stop = np.round(stop)
+    got = sf.riemann_zeta(s, start, stop)
+    assert got.shape == stop.shape
+    with mpmath.workdps(40):
+        for b, value in zip(stop.tolist(), got.tolist()):
+            if s == 1.0:
+                want = mpmath.harmonic(int(b)) - mpmath.harmonic(start - 1)
+            else:
+                want = mpmath.zeta(s, start) - mpmath.zeta(s, int(b) + 1)
+            assert value == pytest.approx(float(want), rel=5e-15, abs=0.0), b
+
+
+def test_finite_stop_scalar_and_domain():
+    # a float stop gives the array entry's value; stop = inf is the zeta
+    stops = np.array([30.0, 1e6])
+    want = [sf.riemann_zeta(2.0, 3, x) for x in stops]
+    np.testing.assert_allclose(sf.riemann_zeta(2.0, 3, stops), want, rtol=1e-15, atol=0.0)
+    assert sf.riemann_zeta(2.0, 3, math.inf) == sf.riemann_zeta(2.0, 3)
+    # one term: both ends carry the same corrections
+    assert sf.riemann_zeta(3.5, 30, 30.0) == pytest.approx(30.0**-3.5, rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError, match="max\\(24, start\\) <= stop"):
+        sf.riemann_zeta(2.0, 2, 23.0)
+    with pytest.raises(ValueError, match="max\\(24, start\\) <= stop"):
+        sf.riemann_zeta(2.0, 100, np.array([100.0, 99.0]))
+    with pytest.raises(ValueError, match="s != 1 if stop = inf"):
+        sf.riemann_zeta(1.0, 2)
 
 
 def _harmonic_partial_asymptote(s, n):
