@@ -153,21 +153,24 @@ class _Column:
     Every number is printed by `_numbers`, except that CSV prints a column
     with a `csv_format` through that %-format.  A NaN, or an infinity other
     than a log's -inf, is rejected here, before any output: `_numbers`
-    never sees one.
+    never sees one.  The check is one or two whole-column reductions (a
+    NaN makes max and min NaN), and `values` is kept as given where it is
+    already a contiguous float64 or int64 array, a read-only view included,
+    so a column costs no memory beyond its values.
     """
 
     def __init__(self, values, logs=False, missing=None, stand_in=None, csv_format=None):
         values = np.asarray(values)
         dtype = np.float64 if values.dtype.kind == "f" else np.int64
-        self.values = np.ascontiguousarray(values, dtype=dtype)
+        self.values = v = np.ascontiguousarray(values, dtype=dtype)
         self.logs = logs
         self.missing = missing
         self.stand_in = stand_in
         self.csv_format = csv_format
-        if dtype is np.float64:
-            v = self.values
-            if np.isnan(v).any() or (v == np.inf).any() or (not logs and (v == -np.inf).any()):
-                raise ValueError(_NOT_JSON)
+        if dtype is np.float64 and len(v) and not (
+            v.max() < np.inf and (logs or v.min() > -np.inf)
+        ):
+            raise ValueError(_NOT_JSON)
 
     def __len__(self) -> int:
         return len(self.values)

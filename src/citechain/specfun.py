@@ -87,7 +87,9 @@ def riemann_zeta(s: float, start: int = 1, stop=math.inf):
     n_split = max(24, start)
     if start < 1 or not (infinite or np.all(stop >= n_split)):
         raise ValueError("riemann_zeta requires 1 <= start and max(24, start) <= stop")
-    minus_s = -s  # hoisted out of the loops below: an improper mass makes ~20 calls
+    # hoisted out of the loops below (an improper mass makes ~20 calls), and a
+    # float, as an int s would raise on an int64 array stop
+    minus_s = -float(s)
     total = math.fsum([k**minus_s for k in range(start, n_split)])
     c = 1.0 - s
     if infinite:

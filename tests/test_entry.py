@@ -2,7 +2,9 @@
 
 `citechain.__main__` pins OpenBLAS to one thread before numpy loads, which
 it can only do because `import citechain` loads no submodule until a public
-name is first used.  Library imports leave the environment alone.
+name is first used.  Library imports leave the environment alone.  A whole
+CLI process is also held to its memory: a printed table costs its scan and
+a block, whatever the numpy build costs at start-up.
 """
 
 import os
@@ -44,6 +46,35 @@ def test_import_loads_no_numpy():
 def test_library_import_sets_no_blas_threads():
     code = "import os, citechain.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert python(code, OPENBLAS_NUM_THREADS=None) == "None"
+
+
+def peak_rss_kib(*argv: str) -> int:
+    """The peak resident memory of `python -m citechain argv`, stdout
+    discarded, in KiB on Linux.  A small interpreter starts it and reads
+    the figure from wait4: Linux credits a child with the peak of the
+    address space it was started from, which here would be pytest's."""
+    code = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, sys.executable, "-m", "citechain", *argv],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    return int(out[1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_million_cell_tail_costs_its_scan_plus_a_block():
+    # against a run that prints one number, a 1e6-cell table adds its 8 MB
+    # scan and block-sized working memory; a copy of the column, a
+    # column-length mask or a 2^16-term scan block would push it past 10 MiB
+    base = peak_rss_kib("improper-mass", "--p", "0.5", "--gamma", "2")
+    table = peak_rss_kib("tail", "--p", "0.8", "--gamma", "1", "--m-max", "1000000")
+    assert table - base <= 10 * 1024
 
 
 def test_names_resolve_on_use():

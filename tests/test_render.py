@@ -14,6 +14,7 @@ fails here, not in the golden bytes.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -272,6 +273,33 @@ def test_non_finite_sample_column_exits_before_output(monkeypatch, capsys, finit
                                   "--seed", "1", "--format", fmt])
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_in_the_first_cell_of_a_log_column_exits_before_output(monkeypatch, capsys,
+                                                                   finite_printer, fmt):
+    # the whole-column reductions see a bad first cell, before any block
+    def table(params, m_max):
+        logs = np.linspace(-1.0, -2000.0, m_max)
+        logs[0] = math.nan
+        return logs
+
+    monkeypatch.setattr(cli.trial_chain, "tail_table", table)
+    _exits_before_output(capsys, ["tail", "--p", "0.5", "--gamma", "1", "--m-max",
+                                  str(3 * cli._BLOCK + 1), "--format", fmt])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_minus_infinity_in_a_float_column_exits_before_output(monkeypatch, capsys,
+                                                              finite_printer, fmt):
+    real = cli.scientometrics.report
+
+    def report(dataset):
+        rep = real(dataset)
+        return type(rep)(**{**vars(rep), "kappa": (-math.inf,) + rep.kappa[1:]})
+
+    monkeypatch.setattr(cli.scientometrics, "report", report)
+    _exits_before_output(capsys, ["analyze", "--fixture", "physics", "--format", fmt])
+
+
 def _peak_bytes(write) -> int:
     """The peak traced memory of writing all chunks of `write()`, one at a time."""
     tracemalloc.start()
@@ -318,6 +346,36 @@ def test_block_memory_does_not_grow_with_the_column(render):
     # 128 KB more (a second copy of the column's values alone is 2 MB)
     short, long = _band_heavy_tail(1 << 16)[1], _band_heavy_tail(1 << 18)[1]
     assert _peak_bytes(lambda: render(long)) <= _peak_bytes(lambda: render(short)) + 128 * 1024
+
+
+class _Sink:
+    """A stdout that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("p, gamma", [("0.5", "0.7"), ("0.95", "1")])
+def test_tail_run_peaks_at_its_scan_plus_a_block(monkeypatch, fmt, p, gamma):
+    # the printed column is the cached scan, 8 bytes per cell; the scan's
+    # scratch, the column checks and the writer each hold a block at most
+    cells = 1 << 18
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    trial_chain._log_survival_prefix.cache_clear()
+    tracemalloc.start()
+    try:
+        argv = ["tail", "--p", p, "--gamma", gamma, "--m-max", str(cells), "--format", fmt]
+        assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        trial_chain._log_survival_prefix.cache_clear()
+    assert peak <= 8 * cells + 2 * 2**20
 
 
 N = 3 * cli._BLOCK + 7

@@ -274,10 +274,12 @@ class TestSurvivalPrefixCache:
             with pytest.raises(ValueError):
                 view[0] = 1.0
         assert np.array_equal(first, grown[:11])
-        # tail_table hands out its own copy
+        # tail_table hands out a read-only view of the cached scan, not a copy
         table = tc.tail_table(TrialChainParams(0.5, 1.0), 10)
-        table[0] = 1.0
-        assert tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 9)[0] == 0.0
+        assert not table.flags.writeable
+        assert np.shares_memory(table, tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 9))
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
     def test_loop_over_n_misses_logarithmically(self):
         params = TrialChainParams(0.5, 0.7)
@@ -306,7 +308,7 @@ class TestSurvivalPrefixCache:
         assert tc._log_survival_prefix.cache_info() == (0, 0, 32, 0)
 
 
-BLOCK = 1 << 16
+BLOCK = 1 << 14
 # request lengths on both sides of one block, and past three
 SEAM_NS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
 SCAN_CHAINS = [
@@ -356,15 +358,15 @@ class TestBlockedScan:
             assert got.tobytes() == want[: n + 1].tobytes(), n
 
     def test_cold_million_term_scan_peak_memory(self):
-        # the 8 MB result plus a few block-sized temporaries; the per-term
-        # loop with its Python list peaked near 70 MB
+        # the 8 MB result plus about 1 MB of block scratch at 2^14 terms (2^16
+        # held 3.5 MB); the per-term loop with its Python list peaked near 70 MB
         tracemalloc.start()
         try:
             tc._log_survival_prefix(TrialChainParams(0.5, 1.0), 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= 10e6
 
 
 class TestPmfTable:
@@ -825,6 +827,40 @@ class TestSampling:
                 v2, c2 = tc.sample_many(params, np.random.default_rng(seed), n + 1)
                 np.testing.assert_array_equal(v1, v2[:n])
                 np.testing.assert_array_equal(c1, c2[:n])
+
+    @pytest.mark.parametrize("gamma", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 1.0])
+    def test_table_search_with_and_without_the_passing_draws(self, gamma, share):
+        # the table search leaves out the draws that pass the table where
+        # over a quarter of them do; either way each draw is the one it is
+        # alone, and a draw inside the table is its plain search
+        params = TrialChainParams(0.5, gamma)
+        prefix = tc._log_survival_prefix(params, tc._SAMPLE_TABLE)
+        rng = np.random.default_rng(41)
+        n = 300
+        t = np.where(rng.random(n) < share, prefix[-1] + np.log1p(-rng.random(n)),
+                     prefix[-1] * rng.random(n))
+        u = -np.expm1(t)
+        t = np.log1p(-u)
+        passing = t <= prefix[-1]
+        assert passing.mean() == pytest.approx(share, abs=0.08)
+        values, censored = tc.sample_many(params, _FixedUniforms(u), n)
+        alone = [tc.sample_many(params, _FixedUniforms(u[i : i + 1]), 1) for i in range(n)]
+        assert values.tolist() == [int(v[0]) for v, _ in alone]
+        assert censored.tolist() == [bool(c[0]) for _, c in alone]
+        inside = np.searchsorted(-prefix, -t[~passing], side="right")
+        assert values[~passing].tolist() == inside.tolist()
+        assert (values[passing] > tc._SAMPLE_TABLE).tolist() == (~censored[passing]).tolist()
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_integer_gamma_draws_as_its_float(self, p):
+        # an int gamma reaches the power sum past the table as an int
+        # exponent, which numpy would refuse on an int64 array of trials
+        draws = [tc.sample_many(TrialChainParams(p, g), np.random.default_rng(9), 5000)
+                 for g in (1, 1.0)]
+        assert (draws[0][0] > tc._SAMPLE_TABLE).any()
+        for got, want in zip(*draws):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0, 2.0])
     def test_zero_uniform_gives_first_trial(self, gamma):
