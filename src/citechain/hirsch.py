@@ -22,7 +22,6 @@ two can be compared empirically.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -137,8 +136,7 @@ def hirsch_pmf_table(params: HirschParams, h_max: int) -> tuple[np.ndarray, floa
 
     One array pass over ln A(1..h_max) from the survival prefix.  The
     deficit is one `math.fsum` of the exponentiated entries, which are
-    `hirsch_pmf` bit for bit, fed 4,096 entries at a time so that no list
-    of a float per entry is built.
+    `hirsch_pmf` bit for bit.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max!r}")
@@ -146,8 +144,7 @@ def hirsch_pmf_table(params: HirschParams, h_max: int) -> tuple[np.ndarray, floa
     log_a = trial_chain.tail_table(trial_chain.TrialChainParams(params.p, 1.0), h_max)
     h = np.arange(1, h_max + 1, dtype=np.float64)
     log_probs = np.concatenate(([math.log(q)], _log_hirsch_terms(q, log_a, h)))
-    blocks = (log_probs[lo:lo + 4096].tolist() for lo in range(1, h_max + 1, 4096))
-    deficit = 1.0 - q - math.fsum(map(math.exp, itertools.chain.from_iterable(blocks)))
+    deficit = 1.0 - q - math.fsum(map(math.exp, log_probs[1:].tolist()))
     return log_probs, deficit
 
 

@@ -571,17 +571,9 @@ def sample_many(
         return np.where(censored, 0.0, below + 1.0).astype(np.int64), censored
     size = min(cap, _SAMPLE_TABLE)
     prefix = _log_survival_prefix(params, size)
-    censored = t <= prefix[size]  # the draws that pass the table
+    values = np.searchsorted(-prefix, -t, side="right")
+    censored = values > size
     past = np.flatnonzero(censored)
-    # a passing draw's search would end at size + 1.  Leaving it out saves
-    # a search per passing draw for a gather and a scatter per other draw,
-    # about a third of a search, so it pays where over a quarter of them pass
-    if 4 * past.size <= n:
-        values = np.searchsorted(-prefix, -t, side="right")
-    else:
-        values = np.zeros(n, dtype=np.intp)
-        inside = np.flatnonzero(~censored)
-        values[inside] = np.searchsorted(-prefix, -t[inside], side="right")
     if past.size and size < cap:
 
         def log_survival(m):  # ln P{X > m} past the table, m an array or a float

@@ -828,30 +828,6 @@ class TestSampling:
                 np.testing.assert_array_equal(v1, v2[:n])
                 np.testing.assert_array_equal(c1, c2[:n])
 
-    @pytest.mark.parametrize("gamma", [0.7, 1.0, 3.0])
-    @pytest.mark.parametrize("share", [0.0, 0.1, 0.5, 1.0])
-    def test_table_search_with_and_without_the_passing_draws(self, gamma, share):
-        # the table search leaves out the draws that pass the table where
-        # over a quarter of them do; either way each draw is the one it is
-        # alone, and a draw inside the table is its plain search
-        params = TrialChainParams(0.5, gamma)
-        prefix = tc._log_survival_prefix(params, tc._SAMPLE_TABLE)
-        rng = np.random.default_rng(41)
-        n = 300
-        t = np.where(rng.random(n) < share, prefix[-1] + np.log1p(-rng.random(n)),
-                     prefix[-1] * rng.random(n))
-        u = -np.expm1(t)
-        t = np.log1p(-u)
-        passing = t <= prefix[-1]
-        assert passing.mean() == pytest.approx(share, abs=0.08)
-        values, censored = tc.sample_many(params, _FixedUniforms(u), n)
-        alone = [tc.sample_many(params, _FixedUniforms(u[i : i + 1]), 1) for i in range(n)]
-        assert values.tolist() == [int(v[0]) for v, _ in alone]
-        assert censored.tolist() == [bool(c[0]) for _, c in alone]
-        inside = np.searchsorted(-prefix, -t[~passing], side="right")
-        assert values[~passing].tolist() == inside.tolist()
-        assert (values[passing] > tc._SAMPLE_TABLE).tolist() == (~censored[passing]).tolist()
-
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_integer_gamma_draws_as_its_float(self, p):
         # an int gamma reaches the power sum past the table as an int
