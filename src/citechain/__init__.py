@@ -16,6 +16,8 @@ Layout:
 - `scientometrics`: citation-table statistics (kappa, correlations) with
   embedded reference listings.
 - `cli`: `citechain` command-line interface over all of the above.
+- `_cache`: the grow-only cache that holds the survival prefixes and the
+  author series for repeated scalar queries.
 """
 
 import importlib

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trial_chain
+from ._cache import GrowOnlyCache
 from .tables import PmfTable
 
 __all__ = [
@@ -96,12 +97,42 @@ def author_pmf_series(params: AuthorParams, s_max: int) -> np.ndarray:
     return out
 
 
+def _grow_series(params: AuthorParams, entry: tuple | None, s: int) -> tuple[np.ndarray]:
+    # a series' last coefficient can differ from the same entry of a longer
+    # series in its last bits, so the cache never keeps it
+    size = entry[0].size if entry else 0
+    series = author_pmf_series(params, max(s + 1, 2 * size))[:-1]
+    series.flags.writeable = False
+    return (series,)
+
+
+_series = GrowOnlyCache(_grow_series)
+
+
 def author_pmf(params: AuthorParams, s: int) -> float:
     """P{S = s}: probability the author accumulates exactly s citations,
-    entry s of `author_pmf_series`."""
+    entry s of `author_pmf_series`.
+
+    The series is cached per (p, q), grow-only, for the 32 most recently
+    used authors, as the trial chain's survival prefix is.  A query past
+    its end rebuilds it to s_max = max(s + 1, twice its length) and keeps
+    entries 0..s_max - 1, so a walk over s = 0..N rebuilds it about log2 N
+    times and costs O(N K) in all (K as in `author_pmf_series`); a query
+    inside it takes no lock and no array work.  Entry s is the same in
+    every series that reaches past s, and the cache never keeps a series'
+    last coefficient, so the value does not depend on the order of calls.
+    That last coefficient can differ from it in the last bits (at a few
+    s <= 10, up to 8e-16 relative), so `author_pmf(s)` may differ there
+    from `author_pmf_series(params, s)[s]`.
+    `cache_info()` and `cache_clear()` work as for `functools.lru_cache`.
+    """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s!r}")
-    return float(author_pmf_series(params, s)[s])
+    return _series.value((AuthorParams, params.p, params.q), s)
+
+
+author_pmf.cache_info = _series.info
+author_pmf.cache_clear = _series.clear
 
 
 def author_pmf_table(params: AuthorParams, s_max: int) -> PmfTable:

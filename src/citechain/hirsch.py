@@ -94,12 +94,15 @@ def log_hirsch_pmf(params: HirschParams, h: int) -> float:
     """ln P{H = h}, stable where nu^h underflows (h in the thousands).
 
     Bit-identical to entry h of `hirsch_pmf_table`; costs one O(h) scan per p.
+    ln A(h) is `trial_chain.log_tail` of the gamma = 1 chain, read straight
+    from its cached survival prefix.
     """
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0:
         return math.log(params.q)
-    log_a = trial_chain.log_tail(trial_chain.TrialChainParams(params.p, 1.0), h)
+    key = (trial_chain.TrialChainParams, params.p, 1.0)
+    log_a = trial_chain._prefix_chains.value(key, h - 1) if h > 1 else 0.0
     return float(_log_hirsch_terms(params.q, log_a, h))
 
 

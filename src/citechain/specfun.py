@@ -2,11 +2,11 @@
 
 The log-gamma ratio ln[Gamma(m - p) / Gamma(m)] and the power sum
 sum_{k=start}^{stop} k^-s, which is Riemann zeta at stop = inf.  Log-gamma
-itself is `math.lgamma`; past m = 30 the ratio comes from the difference of
-two Stirling series, which keeps its absolute accuracy where the two
-log-gamma values would cancel.  Both functions feed probability computations
-and are tuned for absolute/relative accuracy near 1e-13 in their stated
-domains.
+itself is `math.lgamma`; the ratio is the difference of two Stirling
+series at m >= 30, with m shifted up to there by the recurrence below it,
+which keeps its absolute accuracy where two log-gamma values would cancel.
+Both functions feed probability computations and are tuned for
+absolute/relative accuracy near 1e-13 in their stated domains.
 """
 
 from __future__ import annotations
@@ -46,19 +46,26 @@ def log_gamma_ratio(m: float, p: float) -> float:
         ln Gamma(m-p) - ln Gamma(m)
             = (m - p - 1/2) log1p(-p/m) - p ln m + p + Bernoulli tail.
 
-    Below m = 30 it is the difference of two `math.lgamma` values.
+    Below m = 30, where two `math.lgamma` values of size up to 71 would
+    cancel, m is first shifted up by k = ceil(30 - m) steps of the
+    recurrence Gamma(x + 1) = x Gamma(x):
+
+        ln[Gamma(m - p) / Gamma(m)]
+            = ln[Gamma(m + k - p) / Gamma(m + k)] - sum_{i<k} log1p(-p/(m + i)),
+
+    the sum taken with math.fsum.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"log_gamma_ratio requires p in (0,1), got {p!r}")
     if not m - p > 0.0:
         raise ValueError(f"log_gamma_ratio requires m - p > 0, got m={m!r}, p={p!r}")
-    if m < 30.0:
-        return math.lgamma(m - p) - math.lgamma(m)
-    x = float(m)
+    k = max(0, math.ceil(30.0 - m))
+    shift = math.fsum([math.log1p(-p / (m + i)) for i in range(k)])
+    x = float(m + k)
     d = (x - p - 0.5) * math.log1p(-p / x) - p * math.log(x) + p
     for k, b2k in enumerate(_BERNOULLI, start=1):
         d += b2k / ((2 * k) * (2 * k - 1)) * ((x - p) ** (1 - 2 * k) - x ** (1 - 2 * k))
-    return d
+    return d - shift
 
 
 def riemann_zeta(s: float, start: int = 1, stop=math.inf):

@@ -18,14 +18,13 @@ import enum
 import functools
 import itertools
 import math
-import threading
 import warnings
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
+from ._cache import GrowOnlyCache
 from .tables import PmfTable
 
 __all__ = [
@@ -143,25 +142,17 @@ def classify_regime(gamma: float) -> Regime:
 
 _ChainParams = TrialChainParams | GrowingChainParams
 
-_PREFIX_CHAINS = 32
-# params._cache_key() -> (S[0..n], Neumaier sum, Neumaier compensation), least
-# recently used first; a plain tuple, as the dataclass's __hash__ is slow.
-# The scan runs in numpy blocks of _SCAN_BLOCK terms, and the stored pair is
-# the carry between blocks, so a chain grows bit for bit as one long scan.
-_prefix_chains: OrderedDict = OrderedDict()
-_prefix_counts = [0, 0]  # hits, misses
-_prefix_lock = threading.Lock()
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 # a block's scratch is about seven arrays of its length: 1 MB at 2^14 terms,
 # beside the 8 bytes per term of the result
 _SCAN_BLOCK = 1 << 14
 
 
 def _extend_prefix(
-    params: _ChainParams, prefix: np.ndarray, s: float, c: float, n_max: int
+    params: _ChainParams, chain: tuple | None, n_max: int
 ) -> tuple[np.ndarray, float, float]:
-    """Continue the compensated scan that produced `prefix` (ending in the
-    state s, c) up to S[n_max]; the result is read-only.
+    """Continue the compensated scan `chain` = (S[0..j], s, c), or the
+    empty chain S[0] = 0 for None, to S[max(n_max, 2 j)]: the next entry of
+    `_prefix_chains`, its array read-only.
 
     Neumaier's loop (t = s + x; c += the rounding error of s + x; s = t;
     S = s + c) is two sequential sums: s of the terms x, and c of each
@@ -172,7 +163,9 @@ def _extend_prefix(
     therefore bit-identical to the per-term loop, written block by block
     into the result array.
     """
+    prefix, s, c = chain or (np.zeros(1), 0.0, 0.0)
     start = prefix.size
+    n_max = max(n_max, 2 * (start - 1))
     out = np.empty(n_max + 1)
     out[:start] = prefix
     size = min(_SCAN_BLOCK, n_max + 1 - start) + 1
@@ -207,50 +200,30 @@ def _log_survival_prefix(params: _ChainParams, n_max: int) -> np.ndarray:
     `_extend_prefix` runs it as one numpy pass per block of 2^14 terms,
     bit-identical to the per-term loop and with no per-term Python object.
 
-    One grow-only scan is kept per chain, keyed by its params class and
-    numbers, for the 32 most recently used chains.  A request past its end
-    resumes the scan from the stored Neumaier state, so every S[j] is
-    bit-identical to one long scan whatever the order of requests.  A first
-    request grows the empty chain S[0] = 0 and so computes exactly n_max
-    terms; a longer one grows the scan to max(n_max, twice its length), so
-    a loop over n costs O(n) in all.
+    One grow-only scan is kept per chain in `_prefix_chains`, for the 32
+    most recently used chains.  A request past its end resumes the scan
+    from the stored Neumaier state, so every S[j] is bit-identical to one
+    long scan whatever the order of requests.  A first request grows the
+    empty chain S[0] = 0 and so computes exactly n_max terms; a longer one
+    grows the scan to max(n_max, twice its length), so a loop over n costs
+    O(n) in all.  A scalar S[j] is `_prefix_chains.value(key, j)`, a cache
+    hit that takes no lock and builds no view.
     Returns a read-only view of length n_max + 1.
     `cache_info()` and `cache_clear()` work as for `functools.lru_cache`.
     """
-    key = params._cache_key()
-    with _prefix_lock:
-        chain = _prefix_chains.pop(key, None)
-        if chain is not None and chain[0].size > n_max:
-            _prefix_counts[0] += 1
-        else:
-            _prefix_counts[1] += 1
-            prefix, s, c = chain or (np.zeros(1), 0.0, 0.0)
-            chain = _extend_prefix(params, prefix, s, c, max(n_max, 2 * (prefix.size - 1)))
-        _prefix_chains[key] = chain
-        if len(_prefix_chains) > _PREFIX_CHAINS:
-            _prefix_chains.popitem(last=False)
-    return chain[0][: n_max + 1]
+    return _prefix_chains.array(params._cache_key(), n_max)[: n_max + 1]
 
 
-def _prefix_cache_info() -> _CacheInfo:
-    return _CacheInfo(*_prefix_counts, _PREFIX_CHAINS, len(_prefix_chains))
-
-
-def _prefix_cache_clear() -> None:
-    with _prefix_lock:
-        _prefix_chains.clear()
-        _prefix_counts[:] = [0, 0]
-
-
-_log_survival_prefix.cache_info = _prefix_cache_info
-_log_survival_prefix.cache_clear = _prefix_cache_clear
+_prefix_chains = GrowOnlyCache(_extend_prefix)
+_log_survival_prefix.cache_info = _prefix_chains.info
+_log_survival_prefix.cache_clear = _prefix_chains.clear
 
 
 def log_pmf(params: TrialChainParams, n: int) -> float:
     """ln P{X = n} = ln p_n + sum_{k<n} ln(1 - p_k)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    s = float(_log_survival_prefix(params, n - 1)[n - 1]) if n > 1 else 0.0
+    s = _prefix_chains.value(params._cache_key(), n - 1) if n > 1 else 0.0
     return math.log(params.p) - params.gamma * math.log(n) + s
 
 
@@ -270,7 +243,7 @@ def log_tail(params: TrialChainParams, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m!r}")
     if m == 1:
         return 0.0
-    return float(_log_survival_prefix(params, m - 1)[m - 1])
+    return _prefix_chains.value(params._cache_key(), m - 1)
 
 
 def tail(params: TrialChainParams, m: int) -> float:
@@ -310,6 +283,8 @@ def sibuya_tail_closed(p: float, m: int) -> float:
         raise ValueError(f"p must be in (0, 1), got {p!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
+    if m == 1:  # P{X >= 1} = 1; the ratio's shifted route need not cancel lgamma(1 - p)
+        return 1.0
     return math.exp(specfun.log_gamma_ratio(m, p) - math.lgamma(1.0 - p))
 
 
@@ -619,7 +594,7 @@ def growing_tail(params: GrowingChainParams, m: int) -> float:
     # no scan where the closed log lies below -746: exp is 0.0 below -745.13
     if (m - 1) * math.log(params.q) - params.gamma * math.lgamma(m) < -746.0:
         return 0.0
-    return math.exp(_log_survival_prefix(params, m - 1)[m - 1])
+    return math.exp(_prefix_chains.value(params._cache_key(), m - 1))
 
 
 def growing_pmf(params: GrowingChainParams, n: int) -> float:

@@ -7,6 +7,7 @@ plus frozen hand values.
 """
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -129,6 +130,30 @@ class TestPmf:
         series = am.author_pmf_series(params, 300)
         for s in (0, 1, 2, 150, 151, 300):
             assert am.author_pmf(params, s) == float(series[s])
+
+    def test_pmf_bits_whatever_the_order(self):
+        # entry s of the cached series, which never keeps a series' last
+        # coefficient, so every order of calls gives the bits of one long
+        # series; at (0.9, 0.1) a last coefficient differs from the longer
+        # series' entry at s = 2, 3, 5, 6, 7, 8 and 10
+        params = AuthorParams(0.9, 0.1)
+        s_all = list(range(2001))
+        am.author_pmf.cache_clear()
+        ascending = [am.author_pmf(params, s) for s in s_all]
+        info = am.author_pmf.cache_info()
+        # each miss at least doubles the series
+        assert info.misses <= math.ceil(math.log2(2001)) + 1
+        assert info.hits + info.misses == 2001
+        shuffled = s_all.copy()
+        random.Random(5).shuffle(shuffled)
+        am.author_pmf.cache_clear()
+        scattered = {s: am.author_pmf(params, s) for s in shuffled}
+        am.author_pmf.cache_clear()
+        assert [scattered[s].hex() for s in s_all] == [v.hex() for v in ascending]
+        longest = am.author_pmf_series(params, 2001)
+        assert [v.hex() for v in longest[:2001].tolist()] == [v.hex() for v in ascending]
+        for s in [*range(100), *range(100, 2001, 97)]:
+            assert am.author_pmf_series(params, s + 1)[s] == ascending[s], s
 
     def test_matches_pgf_composition(self):
         # third route: compose the chain pmf table with the geometric pgf

@@ -69,14 +69,15 @@ class TestGammaRatio:
             assert sf.log_gamma_ratio(m, 0.37) == pytest.approx(direct, abs=1e-13)
 
     @pytest.mark.parametrize("p", [0.01, 0.37, 0.5, 0.99])
-    def test_lgamma_route_against_mpmath(self, p):
-        # below m = 30 the ratio is a difference of two math.lgamma values
+    def test_shifted_route_against_mpmath(self, p):
+        # below m = 30 the ratio is shifted up by the recurrence, not taken
+        # as a difference of two math.lgamma values of size up to 71
         mpmath = pytest.importorskip("mpmath")
         ms = [1.0, 1.25, 2.0, 2.5, 3.7, 7.0, 12.3, 19.0, 25.5, 29.0, 29.999]
         with mpmath.workdps(40):
             for m in ms:
                 ref = mpmath.loggamma(mpmath.mpf(m) - mpmath.mpf(p)) - mpmath.loggamma(m)
-                assert abs(mpmath.mpf(sf.log_gamma_ratio(m, p)) - ref) <= 5e-14, m
+                assert abs(mpmath.mpf(sf.log_gamma_ratio(m, p)) - ref) <= 2e-15, m
 
 
 class TestRiemannZeta:
