@@ -101,9 +101,7 @@ def log_hirsch_pmf(params: HirschParams, h: int) -> float:
         raise ValueError(f"h must be >= 0, got {h!r}")
     if h == 0:
         return math.log(params.q)
-    key = (trial_chain.TrialChainParams, params.p, 1.0)
-    log_a = trial_chain._prefix_chains.value(key, h - 1) if h > 1 else 0.0
-    return float(_log_hirsch_terms(params.q, log_a, h))
+    return float(_log_hirsch_terms(params.q, trial_chain._log_tail_gamma_one(params.p, h), h))
 
 
 def _log_hirsch_terms(q: float, log_a, h):

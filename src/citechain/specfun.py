@@ -79,7 +79,9 @@ def riemann_zeta(s: float, start: int = 1, stop=math.inf):
     included, and an array stop gives an array of sums.
 
     The terms below N are summed with math.fsum.  The rest is the integral
-    of x^-s from N to stop, N^(1-s) expm1((1-s) ln(stop/N)) / (1-s) (or
+    of x^-s from N to stop, N^(1-s) expm1((1-s) ln(stop/N)) / (1-s) where
+    |(1-s) ln(stop/N)| <= ln 2, else (stop^(1-s) - N^(1-s)) / (1-s), which
+    does not carry the rounding of that argument into its result (or
     ln(stop/N) at s = 1; N^(1-s) / (s-1) to infinity), the two half end
     terms and eight Bernoulli corrections, each the difference of its value
     at N and at stop (zero at stop = inf).  The standard remainder bound at
@@ -103,7 +105,9 @@ def riemann_zeta(s: float, start: int = 1, stop=math.inf):
         integral = n_split**c / (s - 1.0)
     else:  # ln(stop / N), which is the integral at s = 1
         integral = np.log1p((stop - n_split) / n_split)
-        integral = n_split**c * np.expm1(c * integral) / c if c else integral
+        if c:
+            wide = np.abs(c * integral) > math.log(2.0)
+            integral = np.where(wide, stop**c - n_split**c, n_split**c * np.expm1(c * integral)) / c
     near, far = n_split**minus_s, stop**minus_s
     total += integral + 0.5 * near + 0.5 * far
     if near == 0.0:

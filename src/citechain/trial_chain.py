@@ -120,24 +120,42 @@ class Regime(enum.Enum):
     IMPROPER = "improper"
 
 
+def _expansion(gamma: float) -> tuple[Regime, int, bool]:
+    """(regime, J, integer power): how the large-n shape expands at gamma.
+
+    The regime splits at gamma = 0 and 1 within 1e-9, and fractional gamma
+    on whether 1/gamma is within 1e-9 of an integer.  A fractional shape has
+    J exponent terms, J = [1/gamma], unless 1/gamma lies within 1e-6 of an
+    integer: then J = round(1/gamma) and the J-th term is the integer
+    power, p^J/J added to the power of n.  J is 0 outside the fractional
+    regimes.
+    """
+    _check_gamma(gamma)
+    if gamma <= _INTEGER_TOL:
+        return Regime.GEOMETRIC, 0, False
+    if abs(gamma - 1.0) <= _INTEGER_TOL:
+        return Regime.SIBUYA, 0, False
+    if gamma > 1.0:
+        return Regime.IMPROPER, 0, False
+    inv = 1.0 / gamma
+    j = round(inv)
+    if abs(inv - j) <= _INTEGER_TOL:
+        return Regime.FRACTIONAL_INTEGER, j, True
+    if abs(inv - j) <= _BOUNDARY_WARN_TOL:
+        return Regime.FRACTIONAL_NON_INTEGER, j, True
+    return Regime.FRACTIONAL_NON_INTEGER, math.floor(inv), False
+
+
 def classify_regime(gamma: float) -> Regime:
     """Asymptotic regime of the chain, keyed on gamma.
 
     Fractional gamma splits on whether 1/gamma is an integer (detected within
     1e-9), because an integer 1/gamma shifts one exponential correction term
-    into the polynomial prefactor of the large-n shape.
+    into the polynomial prefactor of the large-n shape.  The shape also
+    takes that shift inside the 1e-6 near-boundary window, where the regime
+    stays non-integer; see `log_asym_pmf_shape`.
     """
-    _check_gamma(gamma)
-    if gamma <= _INTEGER_TOL:
-        return Regime.GEOMETRIC
-    if abs(gamma - 1.0) <= _INTEGER_TOL:
-        return Regime.SIBUYA
-    if gamma > 1.0:
-        return Regime.IMPROPER
-    inv = 1.0 / gamma
-    if abs(inv - round(inv)) <= _INTEGER_TOL:
-        return Regime.FRACTIONAL_INTEGER
-    return Regime.FRACTIONAL_NON_INTEGER
+    return _expansion(gamma)[0]
 
 
 _ChainParams = TrialChainParams | GrowingChainParams
@@ -244,6 +262,12 @@ def log_tail(params: TrialChainParams, m: int) -> float:
     if m == 1:
         return 0.0
     return _prefix_chains.value(params._cache_key(), m - 1)
+
+
+def _log_tail_gamma_one(p: float, m: int) -> float:
+    """`log_tail` of the gamma = 1 chain, m >= 1, keyed on p alone: a cache
+    hit builds no `TrialChainParams`."""
+    return _prefix_chains.value((TrialChainParams, p, 1.0), m - 1) if m > 1 else 0.0
 
 
 def tail(params: TrialChainParams, m: int) -> float:
@@ -374,42 +398,50 @@ def conditional_pmf_table(params: TrialChainParams, n_max: int) -> PmfTable:
 def _fractional_exponent_sum(p: float, gamma: float, n: float, j_max: int) -> float:
     """sum_{j=1}^{j_max} (p^j / j) n^(1 - gamma j) / (1 - gamma j).
 
-    Stops where p^j underflows: every later term is 0.0, so the sum is the
-    same to the bit and a tiny gamma does not set the loop's length.
+    With r = p^j n^(1 - gamma j) / j, x = p n^-gamma and
+    d = 1 / (1 - gamma j_max), the largest 1 / (1 - gamma j), every term
+    after the j-th is below d x r.  The loop stops once d x r < 2^-54 of
+    the total, as each later term is then under half an ulp of it, or where
+    p^j underflows, as each later term is then 0.0: either way the sum is
+    the full loop's to the bit, and neither p near 1 nor a tiny gamma sets
+    the loop's length.
     """
     total = 0.0
+    dx = p * n**-gamma / (1.0 - gamma * j_max) * 2.0**54
     for j in range(1, j_max + 1):
         pj = p**j
         if pj == 0.0:
             break
-        total += pj / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
+        r = pj / j * n ** (1.0 - gamma * j)
+        total += r / (1.0 - gamma * j)
+        if r * dx < total:
+            break
     return total
 
 
-def log_asym_pmf_shape(
-    params: TrialChainParams,
-    n: int,
-    branch: Regime | None = None,
-) -> float:
+def log_asym_pmf_shape(params: TrialChainParams, n: int) -> float:
     """Log of the large-n shape of the pmf (constant left out), by regime.
 
-    Fractional        (p / n^gamma)
-      non-integer:      * exp{-sum_{j<=[1/gamma]} (p^j/j) n^(1-gamma j)/(1-gamma j)}
-    Fractional        (p / n^(gamma + p^J / J)), J = 1/gamma
-      integer:          * exp{-sum_{j<=J-1} (p^j/j) n^(1-gamma j)/(1-gamma j)}
+    Fractional (g<1): (p / n^(gamma + [int] p^J/J))
+                        * exp{-sum_{j<=J-[int]} (p^j/j) n^(1-gamma j)/(1-gamma j)}
     Heavy tail (g=1): p / (n^(p+1) Gamma(1-p))
     Improper (g>1):   p / n^gamma                          (conditional shape)
 
+    J = [1/gamma] and [int] = 0, except where 1/gamma lies within 1e-6 of
+    an integer: there J = round(1/gamma) and [int] = 1, the J-th term
+    moving into the power of n.  Within 1e-9 that is the source paper's
+    integer-1/gamma shape; in the rest of that window the non-integer
+    expansion would leave out its J-th term or carry it as a constant
+    p^J / (J (1 - gamma J)), flat over any finite grid.
+
     gamma <= 1e-9 is rejected: `classify_regime` takes that chain as
     geometric, which needs no asymptote.  The exponent sign is the
-    convergent one.  `branch` picks a fractional branch in place of the one
-    `classify_regime` gives; near the integer boundary of 1/gamma,
-    `estimate_constant` asks for the integer one.
+    convergent one.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
     p, gamma = params.p, params.gamma
-    regime = classify_regime(gamma) if branch is None else branch
+    regime, j, integer = _expansion(gamma)
     nf = float(n)
     if regime is Regime.GEOMETRIC:
         raise ValueError(f"gamma = {gamma!r} is within {_INTEGER_TOL!r} of 0, where the chain "
@@ -418,15 +450,8 @@ def log_asym_pmf_shape(
         return math.log(p) - (p + 1.0) * math.log(nf) - math.lgamma(1.0 - p)
     if regime is Regime.IMPROPER:
         return math.log(p) - gamma * math.log(nf)
-    inv = 1.0 / gamma
-    if regime is Regime.FRACTIONAL_INTEGER:
-        j_int = round(inv)
-        power = gamma + p**j_int / j_int
-        ex = _fractional_exponent_sum(p, gamma, nf, j_int - 1)
-        return math.log(p) - power * math.log(nf) - ex
-    j_floor = math.floor(inv + _INTEGER_TOL)
-    ex = _fractional_exponent_sum(p, gamma, nf, j_floor)
-    return math.log(p) - gamma * math.log(nf) - ex
+    ex = _fractional_exponent_sum(p, gamma, nf, j - integer)
+    return math.log(p) - (gamma + integer * p**j / j) * math.log(nf) - ex
 
 
 @dataclass(frozen=True)
@@ -438,17 +463,6 @@ class ConstantEstimate:
     grid: tuple[int, ...]
     log_ratios: tuple[float, ...]
     regime: Regime
-
-
-def _log_ratios(
-    params: TrialChainParams, grid: tuple[int, ...], branch: Regime | None = None
-) -> tuple[float, ...]:
-    improper = params.gamma > 1.0 + _INTEGER_TOL
-    shift = _log1mexp(_log_improper_mass(params)) if improper else 0.0
-    return tuple(
-        log_pmf(params, n) - shift - log_asym_pmf_shape(params, n, branch=branch)
-        for n in grid
-    )
 
 
 def _spread(log_ratios: tuple[float, ...]) -> float:
@@ -466,29 +480,25 @@ def estimate_constant(
     certifies stabilization.  For gamma > 1 the ratio uses the conditional
     pmf, which is the quantity with a finite limiting constant.  Where
     1/gamma lies within 1e-6 of an integer J but is not classified as one,
-    the ratios use the integer branch, with a warning: there the non-integer
-    expansion either leaves out its J-th term or carries it as a constant
-    p^J / (J (1 - gamma J)), flat over any finite grid, while the integer
-    branch's constant stays bounded as the boundary is approached.
+    the shape takes its J-th term as the integer power (see
+    `log_asym_pmf_shape`), whose constant stays bounded as the boundary is
+    approached; the regime is reported as non-integer, with a warning.
     """
     if len(grid) < 3 or grid[0] < 2 or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError(f"grid must be at least three strictly increasing points, each >= 2; "
                          f"got {list(grid)}")
     if grid[-1] < 1000:
         raise ValueError("largest grid point must be >= 1000 to certify a limit")
-    regime = classify_regime(params.gamma)
-    branch = None
-    if regime is Regime.FRACTIONAL_NON_INTEGER:
-        inv = 1.0 / params.gamma
-        if abs(inv - round(inv)) <= _BOUNDARY_WARN_TOL:
-            branch = Regime.FRACTIONAL_INTEGER
-            warnings.warn(
-                f"1/gamma = {inv!r} sits near an integer; reporting the "
-                "integer-1/gamma asymptotic branch",
-                UserWarning,
-                stacklevel=2,
-            )
-    log_ratios = _log_ratios(params, tuple(grid), branch)
+    regime, _, integer = _expansion(params.gamma)
+    if regime is Regime.FRACTIONAL_NON_INTEGER and integer:
+        warnings.warn(
+            f"1/gamma = {1.0 / params.gamma!r} sits near an integer; reporting the "
+            "integer-1/gamma asymptotic branch",
+            UserWarning,
+            stacklevel=2,
+        )
+    shift = _log1mexp(_log_improper_mass(params)) if regime is Regime.IMPROPER else 0.0
+    log_ratios = tuple(log_pmf(params, n) - shift - log_asym_pmf_shape(params, n) for n in grid)
     return ConstantEstimate(
         constant=math.exp(log_ratios[-1]) if log_ratios[-1] < 709.0 else math.inf,
         spread=_spread(log_ratios),

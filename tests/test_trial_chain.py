@@ -611,28 +611,40 @@ class TestAsymptoticShape:
         assert bad_range > 10.0 * good_range
 
 
-    @pytest.mark.parametrize("p", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.99, 0.999, 0.9999])
     @pytest.mark.parametrize("gamma", [1.234e-5, 0.0123, 0.3])
     @pytest.mark.parametrize("n", [1e3, 3e3, 1e4])
     def test_exponent_sum_equals_full_loop(self, p, gamma, n):
-        # every term past the underflow of p^j is 0.0, so stopping there
-        # leaves the sum bit for bit
+        # every term past the stop is under half an ulp of the total, or 0.0
+        # past the underflow of p^j, so stopping there leaves the sum bit for bit
         j_max = math.floor(1.0 / gamma)
         full = 0.0
         for j in range(1, j_max + 1):
             full += p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
         assert tc._fractional_exponent_sum(p, gamma, n, j_max) == full
 
-    def test_branch_override_near_boundary(self):
-        # 1/gamma sits 5e-7 above 3: classify_regime picks the non-integer
-        # branch, and `branch` asks for the integer one, J = 3
-        p, gamma, n = 0.5, 1.0 / (3.0 + 5e-7), 5000
+    @pytest.mark.parametrize("dist", [-9.9e-7, 5e-7])
+    def test_integer_power_inside_window(self, dist):
+        # 1/gamma sits within 1e-6 of 3 but not within 1e-9: the regime is
+        # non-integer, and the shape's third term is the integer power
+        p, gamma, n = 0.5, 1.0 / (3.0 + dist), 5000
         params = TrialChainParams(p, gamma)
+        assert tc.classify_regime(gamma) is Regime.FRACTIONAL_NON_INTEGER
         ex = sum(p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j) for j in (1, 2))
         expected = math.log(p) - (gamma + p**3 / 3) * math.log(n) - ex
-        got = tc.log_asym_pmf_shape(params, n, branch=Regime.FRACTIONAL_INTEGER)
-        assert got == pytest.approx(expected, rel=1e-14)
-        assert tc.log_asym_pmf_shape(params, n) != pytest.approx(expected, rel=1e-6)
+        assert tc.log_asym_pmf_shape(params, n) == expected
+
+    @pytest.mark.parametrize("dist", [-1.1e-6, 1.1e-6])
+    def test_non_integer_just_outside_window(self, dist):
+        # past 1e-6 the shape sums the [1/gamma] exponent terms, gamma alone
+        # in the power of n
+        p, gamma, n = 0.5, 1.0 / (3.0 + dist), 5000
+        params = TrialChainParams(p, gamma)
+        j_max = 3 if dist > 0 else 2
+        ex = sum(p**j / j * n ** (1.0 - gamma * j) / (1.0 - gamma * j)
+                 for j in range(1, j_max + 1))
+        expected = math.log(p) - gamma * math.log(n) - ex
+        assert tc.log_asym_pmf_shape(params, n) == expected
 
 
 # (p, J, 1/gamma - J) inside the near-boundary window; 1/gamma just below 1
@@ -666,10 +678,9 @@ class TestEstimateConstant:
         assert est.regime == Regime.IMPROPER
 
     @pytest.mark.parametrize("p,j,dist", BOUNDARY_CASES)
-    def test_near_boundary_reports_integer_branch(self, p, j, dist):
-        # inside the window the non-integer expansion drops its J-th term or
-        # carries it as a constant p^J / (J (1 - gamma J)), flat over the
-        # grid, so the integer branch is the one reported
+    def test_near_boundary_warns_and_uses_shape(self, p, j, dist):
+        # inside the window the shape takes the integer power, whose constant
+        # stays finite; the regime stays non-integer, with a warning
         params = TrialChainParams(p, 1.0 / (j + dist))
         inv = 1.0 / params.gamma
         assert tc._INTEGER_TOL < abs(inv - j) <= tc._BOUNDARY_WARN_TOL
@@ -677,7 +688,9 @@ class TestEstimateConstant:
             est = tc.estimate_constant(params)
         assert est.regime is Regime.FRACTIONAL_NON_INTEGER
         grid = (1000, 3000, 10_000)
-        assert est.log_ratios == tc._log_ratios(params, grid, Regime.FRACTIONAL_INTEGER)
+        assert est.log_ratios == tuple(
+            tc.log_pmf(params, n) - tc.log_asym_pmf_shape(params, n) for n in grid
+        )
         assert math.isfinite(est.constant)
 
     def test_tiny_gamma_returns(self):
